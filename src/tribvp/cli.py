@@ -4,7 +4,8 @@ Exit codes are part of the interface and disjoint by construction:
 
     0   success (solve converged / all checks passed / degree nonzero)
     1   check found a failing condition, or the degree is zero
-    2   no convergence (solve) or an uncertifiable boundary (degree)
+    2   no convergence or a non-finite f (solve), or an uncertifiable
+        boundary or a non-finite f (degree)
     3   hypothesis hard-failure under --require-hypotheses, or seeding failure
     4   unreadable input: file, expression, or option errors
 """
@@ -18,9 +19,10 @@ from dataclasses import replace
 import numpy as np
 
 from .degree import degree_for_problem
-from .errors import (EmptyDomain, HypothesisFailed, NoConvergence, NoRoot,
-                     PreconditionViolated, ProblemFileError, RangeViolation,
-                     RefinementExhausted, StepRejected, ZeroOnBoundary)
+from .errors import (EmptyDomain, HypothesisFailed, NoConvergence, NonFinite,
+                     NoRoot, PreconditionViolated, ProblemFileError,
+                     RangeViolation, RefinementExhausted, StepRejected,
+                     ZeroOnBoundary)
 from .hypotheses import SamplingBox, check_problem
 from .operators import BoundaryCondition, nemytskii
 from .problem_file import load_problem
@@ -112,7 +114,8 @@ def _run_solve(args) -> int:
         print(_summary("fail", exc.best_residual, exc.iterations, opts.backend))
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoRoot, StepRejected, RangeViolation, PreconditionViolated) as exc:
+    except (NoRoot, StepRejected, RangeViolation, PreconditionViolated,
+            NonFinite) as exc:
         print(_summary("fail", float("nan"), 0, opts.backend))
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -197,10 +200,7 @@ def _run_degree(args) -> int:
     except (EmptyDomain, PreconditionViolated, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ZeroOnBoundary as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RefinementExhausted as exc:
+    except (ZeroOnBoundary, RefinementExhausted, NonFinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"degree={result.degree} "

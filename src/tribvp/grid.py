@@ -102,14 +102,3 @@ def norm_c1(u: GridFunction) -> float:
 def norm_l1(u: GridFunction) -> float:
     """Integral of |u| over [0, T]."""
     return integrate(u.grid, np.abs(u.values))
-
-
-def min_max(u: GridFunction) -> tuple[float, float]:
-    return float(u.values.min()), float(u.values.max())
-
-
-def pos_neg_parts(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Node-wise positive and negative parts of the values: u = u+ - u-."""
-    plus = np.maximum(u.values, 0.0)
-    minus = np.maximum(-u.values, 0.0)
-    return plus, minus

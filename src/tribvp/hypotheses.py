@@ -26,7 +26,7 @@ L * (2 + T) with L = phi^{-1}(2 c T).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -302,13 +302,8 @@ def check_problem(spec: ProblemSpec, data: HypothesisData,
                 "insufficient data: the slope-anchored cases need M1, M2 and "
                 "a lower envelope c(t)")
         report = compute_bounds_p1(spec, data.m1, data.m2, data.c_lower, box)
-        verdicts = dict(report.verdicts)
         sign = check_sign_condition(spec, data.m1, data.m2, box)
-        verdicts = {"sign": sign, **verdicts}
-        report = HypothesisReport(
-            bc_case=report.bc_case, verdicts=verdicts, m1=report.m1,
-            m2=report.m2, c_minus_l1=report.c_minus_l1, L=report.L,
-            r=report.r, rho_min=report.rho_min, kappa_range=report.kappa_range)
+        report = replace(report, verdicts={"sign": sign, **report.verdicts})
 
     verdicts = dict(report.verdicts)
     if data.kappa is not None and report.kappa_range is not None:
@@ -322,8 +317,4 @@ def check_problem(spec: ProblemSpec, data: HypothesisData,
         verdicts["rho_in_range"] = ConditionVerdict(
             Verdict.PASS if ok else Verdict.FAIL,
             f"rho = {data.rho:.10g} vs minimum {report.rho_min:.10g}")
-    return HypothesisReport(
-        bc_case=report.bc_case, verdicts=verdicts, m1=report.m1,
-        m2=report.m2, c_minus_l1=report.c_minus_l1, L=report.L,
-        r=report.r, rho_min=report.rho_min, kappa_range=report.kappa_range,
-        c_bound=report.c_bound, solution_bound=report.solution_bound)
+    return replace(report, verdicts=verdicts)

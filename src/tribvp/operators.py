@@ -32,7 +32,8 @@ from .homeomorphisms import Homeomorphism
 __all__ = [
     "BoundaryCondition", "RightHandSide", "ProblemSpec", "ResidualReport",
     "nemytskii", "running_integral", "running_integral_from_end", "mean_value",
-    "left_value", "right_value", "balancing_shift", "fixed_point_map", "residual",
+    "left_value", "right_value", "balancing_shift", "fixed_point_map",
+    "bc_defects", "residual",
 ]
 
 
@@ -61,14 +62,6 @@ class RightHandSide:
     fn: Callable[[Any, Any, Any], Any]
     bound: float | None = None
     lower_envelope: Callable | float | None = None
-
-    def envelope_values(self, t: np.ndarray) -> np.ndarray | None:
-        if self.lower_envelope is None:
-            return None
-        if callable(self.lower_envelope):
-            out = np.asarray(self.lower_envelope(t), dtype=float)
-            return np.broadcast_to(out, np.shape(t)).astype(float)
-        return np.full(np.shape(t), float(self.lower_envelope))
 
 
 @dataclass(frozen=True)
@@ -242,21 +235,20 @@ class ResidualReport:
     mean: float
 
 
-def _bc_quantities(bc: BoundaryCondition, u: GridFunction) -> tuple[float, float, float]:
+def bc_defects(bc: BoundaryCondition, u: GridFunction) -> tuple[float, float, float]:
+    """Absolute pairwise gaps of the three quantities bc ties together."""
     u0 = float(u.values[0])
     uT = float(u.values[-1])
     d0 = float(u.derivs[0])
     dT = float(u.derivs[-1])
-    if bc is BoundaryCondition.P1:
-        return u0, d0, dT
-    if bc is BoundaryCondition.P1T:
-        return uT, d0, dT
-    return u0, uT, dT
+    qa, qb, qc = {BoundaryCondition.P1: (u0, d0, dT),
+                  BoundaryCondition.P1T: (uT, d0, dT),
+                  BoundaryCondition.P2: (u0, uT, dT)}[bc]
+    return abs(qa - qb), abs(qb - qc), abs(qa - qc)
 
 
 def residual(spec: ProblemSpec, lam: float, u: GridFunction) -> ResidualReport:
     v = fixed_point_map(spec, lam, u)
     c1 = float(np.abs(u.values - v.values).max() + np.abs(u.derivs - v.derivs).max())
     mean = abs(mean_value(spec.grid, nemytskii(spec, u)))
-    qa, qb, qc = _bc_quantities(spec.bc, u)
-    return ResidualReport(c1, (abs(qa - qb), abs(qb - qc), abs(qa - qc)), mean)
+    return ResidualReport(c1, bc_defects(spec.bc, u), mean)

@@ -21,8 +21,7 @@ A problem file has up to three sections::
     [solver]
     tol = 1e-10
     max_iters = 5000
-    lambda_steps = 5
-    damping = 0.5
+    lambda_steps = 5   ; homotopy stages, each solved by Anderson acceleration
     backend = fixed-point
 
 Keys are case-sensitive, unknown sections or keys are rejected, and ';'/'#'
@@ -48,7 +47,7 @@ __all__ = ["ProblemDocument", "load_problem", "loads"]
 
 _PROBLEM_KEYS = {"T", "n", "phi", "a", "f", "bc"}
 _HYPOTHESES_KEYS = {"M1", "M2", "c_lower", "c_bound", "kappa", "rho"}
-_SOLVER_KEYS = {"tol", "max_iters", "lambda_steps", "damping", "backend"}
+_SOLVER_KEYS = {"tol", "max_iters", "lambda_steps", "backend"}
 _SECTIONS = {"problem": _PROBLEM_KEYS, "hypotheses": _HYPOTHESES_KEYS,
              "solver": _SOLVER_KEYS}
 
@@ -133,7 +132,6 @@ def loads(text: str, source_path: str | None = None) -> ProblemDocument:
             tol=_float("solver", "tol", sol.get("tol", "1e-10")),
             max_iters=_int("solver", "max_iters", sol.get("max_iters", "5000")),
             lambda_steps=_int("solver", "lambda_steps", sol.get("lambda_steps", "5")),
-            damping=_float("solver", "damping", sol.get("damping", "0.5")),
             backend=sol.get("backend", "fixed-point").strip())
     except ValueError as exc:
         raise ProblemFileError(f"[solver] {exc}") from exc

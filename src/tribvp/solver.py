@@ -3,9 +3,10 @@
 The primary route iterates the fixed-point maps from `operators` along a
 homotopy in lambda: the lambda = 0 member is solvable in closed form (an
 affine one-parameter family for p1/p1t, the zero function for p2), and the
-solution is continued stepwise to lambda = 1 by damped fixed-point iteration,
-with a finite-difference quasi-Newton step on the discretized residual as a
-stagnation fallback.
+solution is continued stepwise to lambda = 1.  Each stage is solved by
+Anderson acceleration of the map (Walker & Ni, SIAM J. Numer. Anal. 49, 2011),
+with step halving toward the last accepted iterate whenever an extrapolated
+iterate leaves the map's domain.
 
 The oracle route never touches those maps: it rewrites the equation as the
 first-order system u' = phi^{-1}(v), v' = f(t, u, phi^{-1}(v)) and shoots with
@@ -17,15 +18,17 @@ Agreement between the two routes is the package's main self-check.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (BvpError, HypothesisFailed, NoConvergence, NoRoot,
-                     PreconditionViolated, RangeViolation, StepRejected)
-from .grid import GridFunction, norm_c1
+from .errors import (BvpError, HypothesisFailed, NoConvergence, NonFinite,
+                     NoRoot, PreconditionViolated, RangeViolation, StepRejected)
+from .grid import Grid, GridFunction, norm_c1
 from .operators import (BoundaryCondition, ProblemSpec, ResidualReport,
-                        _trapz, fixed_point_map, mean_value, nemytskii, residual)
+                        _trapz, bc_defects, fixed_point_map, mean_value,
+                        nemytskii, residual)
 
 __all__ = [
     "SolveOptions", "LambdaStage", "SolveReport",
@@ -35,6 +38,8 @@ __all__ = [
 
 DEFAULT_SEED_RADIUS = 2.0
 BACKENDS = ("fixed-point", "shooting", "both")
+ANDERSON_DEPTH = 5   # secant pairs kept per lambda-stage
+MAX_HALVINGS = 6     # pull-backs of one out-of-domain iterate before giving up
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,6 @@ class SolveOptions:
     tol: float = 1e-10
     max_iters: int = 5000
     lambda_steps: int = 5
-    damping: float = 0.5
     backend: str = "fixed-point"
     seed_radius: float | None = None
     apriori_bound: float | None = None
@@ -59,14 +63,15 @@ class SolveOptions:
             raise ValueError(f"tolerance must be positive, got {self.tol!r}")
         if self.max_iters < 1 or self.lambda_steps < 1:
             raise ValueError("iteration and continuation budgets must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
 
 
 @dataclass(frozen=True)
 class LambdaStage:
+    """One continuation stage.  newton_calls is always 0; the field stays
+    because existing readers of the report still sum it."""
+
     lam: float
     iterations: int
     residual: float
@@ -157,134 +162,65 @@ def _seed(spec: ProblemSpec, opts: SolveOptions) -> GridFunction:
     return GridFunction(grid, k_root * direction, np.full(grid.n + 1, k_root))
 
 
-def _c1_gap(u: GridFunction, v: GridFunction) -> float:
-    return float(np.abs(u.values - v.values).max()
-                 + np.abs(u.derivs - v.derivs).max())
+def _pack(u: GridFunction) -> np.ndarray:
+    return np.concatenate([u.values, u.derivs])
 
 
-def _blend(u: GridFunction, v: GridFunction, alpha: float) -> GridFunction:
-    return GridFunction(u.grid,
-                        (1.0 - alpha) * u.values + alpha * v.values,
-                        (1.0 - alpha) * u.derivs + alpha * v.derivs)
+def _unpack(grid: Grid, x: np.ndarray) -> GridFunction:
+    return GridFunction(grid, x[:grid.n + 1], x[grid.n + 1:])
+
+
+def _c1_gap(defect: np.ndarray, n1: int) -> float:
+    """sup-gap of values plus sup-gap of derivatives of a packed defect."""
+    return float(np.abs(defect[:n1]).max() + np.abs(defect[n1:]).max())
 
 
 def _converge_stage(spec: ProblemSpec, lam: float, u: GridFunction,
                     opts: SolveOptions) -> tuple[GridFunction, LambdaStage]:
-    alpha = opts.damping
-    alpha_floor = opts.damping / 64.0
-    history: list[float] = []
+    """Anderson acceleration (depth ANDERSON_DEPTH, mixing 1) of the map at
+    level lam on the packed (values, derivs) vector, started from u.
+
+    Plain iteration is not locally contractive for every admissible f (the
+    mean-feedback direction can be repulsive); the extrapolation from the
+    last few secant pairs removes that.  An extrapolated iterate may leave
+    the map's domain: it is then pulled halfway back toward the last iterate
+    the map accepted, at most MAX_HALVINGS times.
+    """
+    grid = spec.grid
+    n1 = grid.n + 1
+    x = _pack(u)
+    d_defect: deque[np.ndarray] = deque(maxlen=ANDERSON_DEPTH)
+    d_image: deque[np.ndarray] = deque(maxlen=ANDERSON_DEPTH)
+    accepted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     best = math.inf
-    best_u: GridFunction | None = None
-    newton_calls = 0
-    prev: tuple[GridFunction, GridFunction] | None = None
-    it = 0
-    while it < opts.max_iters:
-        it += 1
+    halvings = 0
+    for it in range(1, opts.max_iters + 1):
         try:
-            v = fixed_point_map(spec, lam, u)
-        except RangeViolation:
-            # transient escape from the admissible set: back off the damping
-            # and retry from the last good pair; once damping is exhausted,
-            # hand the last good iterate to Newton before giving up
-            if prev is not None and alpha > alpha_floor:
-                alpha *= 0.5
-                u = _blend(prev[0], prev[1], alpha)
-                continue
-            if best_u is not None and newton_calls < 5:
-                u = _newton_polish(spec, lam, best_u, opts)
-                newton_calls += 1
-                history.clear()
-                prev = None
-                continue
-            raise
-        res = _c1_gap(u, v)
-        history.append(res)
-        if res < best:
-            best, best_u = res, u
-        if res <= opts.tol:
-            return u, LambdaStage(lam, it, res, newton_calls)
-        # plain iteration is not locally contractive for every admissible f
-        # (the mean-feedback direction can be repulsive): a residual climbing
-        # far above the stage best means run-away, so restart Newton from the
-        # best iterate instead of the current one
-        runaway = res > 100.0 * best
-        stagnant = len(history) > 50 and history[-1] > 0.99 * history[-51]
-        if (runaway or stagnant) and newton_calls < 5:
-            u = _newton_polish(spec, lam, best_u if runaway else u, opts)
-            newton_calls += 1
-            history.clear()
-            prev = None
+            g = _pack(fixed_point_map(spec, lam, _unpack(grid, x)))
+        except (RangeViolation, PreconditionViolated, NonFinite):
+            if accepted is None or halvings == MAX_HALVINGS:
+                raise
+            halvings += 1
+            x = 0.5 * (accepted[0] + x)
             continue
-        prev = (u, v)
-        u = _blend(u, v, alpha)
+        halvings = 0
+        defect = g - x
+        res = _c1_gap(defect, n1)
+        best = min(best, res)
+        if res <= opts.tol:
+            return _unpack(grid, x), LambdaStage(lam, it, res)
+        if accepted is not None:
+            d_defect.append(defect - accepted[1])
+            d_image.append(g - accepted[2])
+        accepted = (x, defect, g)
+        x = g
+        if d_defect:
+            gamma = np.linalg.lstsq(np.column_stack(d_defect), defect, rcond=None)[0]
+            x = g - np.column_stack(d_image) @ gamma
     raise NoConvergence(
         f"stage lambda={lam:g}: residual {best:.3g} after {opts.max_iters} "
         f"iterations (target {opts.tol:g})",
-        best_residual=best, iterations=it)
-
-
-def _newton_polish(spec: ProblemSpec, lam: float, u: GridFunction,
-                   opts: SolveOptions, max_steps: int = 12) -> GridFunction:
-    """Quasi-Newton on the stacked residual x - map(x), Jacobian by forward
-    differences.  Dense and O(n^3); only reached when plain iteration stalls."""
-    grid = spec.grid
-    n1 = grid.n + 1
-
-    def pack(gf: GridFunction) -> np.ndarray:
-        return np.concatenate([gf.values, gf.derivs])
-
-    def unpack(x: np.ndarray) -> GridFunction:
-        return GridFunction(grid, x[:n1], x[n1:])
-
-    def resid(x: np.ndarray) -> np.ndarray:
-        gf = unpack(x)
-        v = fixed_point_map(spec, lam, gf)
-        return x - pack(v)
-
-    x = pack(u)
-    fx = resid(x)
-    for _ in range(max_steps):
-        scale = float(np.abs(fx).max())
-        if scale <= 0.5 * opts.tol:
-            break
-        jac = _fd_jacobian(resid, x, fx)
-        try:
-            delta = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(jac, -fx, rcond=None)[0]
-        step = 1.0
-        improved = False
-        while step >= 1.0 / 64.0:
-            try:
-                cand = x + step * delta
-                fc = resid(cand)
-            except (RangeViolation, PreconditionViolated):
-                step *= 0.5
-                continue
-            if float(np.abs(fc).max()) < scale:
-                x, fx = cand, fc
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return unpack(x)
-
-
-def _fd_jacobian(resid, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    n = len(x)
-    jac = np.empty((n, n))
-    for j in range(n):
-        eps = 1e-7 * max(1.0, abs(x[j]))
-        probe = x.copy()
-        probe[j] += eps
-        try:
-            col = (resid(probe) - fx) / eps
-        except (RangeViolation, PreconditionViolated):
-            probe[j] = x[j] - eps
-            col = (fx - resid(probe)) / eps
-        jac[:, j] = col
-    return jac
+        best_residual=best, iterations=opts.max_iters)
 
 
 def _family_flag(spec: ProblemSpec, u: GridFunction, opts: SolveOptions) -> bool:
@@ -435,19 +371,13 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         u, defect = _shoot_anchored(spec, radius, count)
     rep = ResidualReport(
         c1=defect,
-        bc_defects=_bc_triple(spec, u),
+        bc_defects=bc_defects(spec.bc, u),
         mean=abs(mean_value(spec.grid, nemytskii(spec, u))))
     return SolveReport(
         solution=u, residuals=rep, iterations=shots,
         lambda_path=(), backend="shooting",
         apriori_ok=_apriori_ok(u, opts),
         solution_family=_family_flag(spec, u, opts))
-
-
-def _bc_triple(spec: ProblemSpec, u: GridFunction) -> tuple[float, float, float]:
-    from .operators import _bc_quantities
-    qa, qb, qc = _bc_quantities(spec.bc, u)
-    return (abs(qa - qb), abs(qb - qc), abs(qa - qc))
 
 
 def _shoot_anchored(spec: ProblemSpec, radius: float, count) -> tuple[GridFunction, float]:

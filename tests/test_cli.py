@@ -72,6 +72,14 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "status=fail" in out and "iters=3" in out
 
+    def test_non_finite_rhs_exit_2(self, tmp_path, capsys):
+        # log(u) is -inf on the zero seed of the p2 continuation
+        path = write(tmp_path, "[problem]\nT = 1\nf = log(u)\nbc = p2\n")
+        assert main(["solve", path]) == 2
+        captured = capsys.readouterr()
+        assert "status=fail" in captured.out
+        assert "right-hand side" in captured.err
+
     def test_require_hypotheses_blocks_bad_bound(self, tmp_path, capsys):
         path = write(tmp_path,
                      "[problem]\nT = 1\nf = 0.6 * cos(u)\nbc = p2\n"
@@ -146,6 +154,13 @@ class TestDegree:
                      "--rho", "0.3535533905932738", "--kappa", "0.9"])
         assert code == 2
         assert capsys.readouterr().err.strip()
+
+    def test_non_finite_rhs_exit_2(self, tmp_path, capsys):
+        # log(v) is undefined on the negative-slope part of the domain
+        path = write(tmp_path, "[problem]\nT = 0.01\nf = log(v)\nbc = p1\n")
+        code = main(["degree", path, "--rho", "1.2", "--kappa", "0.9"])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_p2_rejected_exit_4(self, capsys):
         code = main(["degree", BOUNDED, "--rho", "1.0", "--kappa", "0.3"])

@@ -23,7 +23,6 @@ rho = 1.2
 tol = 1e-9
 max_iters = 800
 lambda_steps = 4
-damping = 0.25
 backend = shooting
 """
 
@@ -46,7 +45,6 @@ def test_full_document():
     assert doc.options.tol == 1e-9
     assert doc.options.max_iters == 800
     assert doc.options.lambda_steps == 4
-    assert doc.options.damping == 0.25
     assert doc.options.backend == "shooting"
 
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from tribvp import (BoundaryCondition, Grid, GridFunction, HypothesisFailed,
-                    NoConvergence, ProblemSpec, RangeViolation, RightHandSide,
-                    SolveOptions, StepRejected, cross_validate, curvature,
-                    fixed_point_map, residual, shoot_ivp, solve,
+import tribvp.solver
+from tribvp import (BoundaryCondition, Grid, HypothesisFailed, NoConvergence,
+                    ProblemSpec, RangeViolation, RightHandSide, SolveOptions,
+                    StepRejected, cross_validate, curvature, shoot_ivp, solve,
                     solve_fixed_point, solve_shooting)
-from tribvp.solver import _newton_polish
+
+from test_acceptance import _admissible_template
 
 
 def steep(bc=BoundaryCondition.P1, n=200):
@@ -21,13 +22,15 @@ def cosine(n=100, beta=0.4):
     return ProblemSpec(Grid(1.0, n), curvature(), rhs, BoundaryCondition.P2)
 
 
+def template(n):
+    """The first criterion-7 p1 template problem, regridded to n intervals."""
+    spec, _, _ = _admissible_template(np.random.default_rng(7), BoundaryCondition.P1)
+    return ProblemSpec(Grid(spec.grid.T, n), spec.phi, spec.rhs, spec.bc)
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(damping=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(damping=1.5)
     with pytest.raises(ValueError):
         SolveOptions(backend="newton")
     with pytest.raises(ValueError):
@@ -75,7 +78,7 @@ class TestFixedPoint:
 
     def test_no_convergence_reports_best_residual(self):
         with pytest.raises(NoConvergence) as info:
-            solve_fixed_point(cosine(), SolveOptions(max_iters=3, damping=0.1))
+            solve_fixed_point(cosine(), SolveOptions(max_iters=3))
         assert info.value.best_residual > 0
         assert info.value.iterations == 3
 
@@ -89,7 +92,7 @@ class TestFixedPoint:
 
     def test_forcing_swing_beyond_flux_range(self):
         # mean-zero but the accumulated swing is ~3.2x the range: the map
-        # itself leaves the admissible set and no damping can help
+        # itself leaves the admissible set and no step halving can help
         spec = ProblemSpec(Grid(1.0, 64), curvature(),
                            RightHandSide(fn=lambda t, u, v: 10 * np.sin(2 * np.pi * t)),
                            BoundaryCondition.P1)
@@ -104,15 +107,48 @@ class TestFixedPoint:
         assert rep.solution_family
         assert rep.residuals.c1 < 1e-12
 
-    def test_newton_polish_cuts_residual(self):
-        spec = cosine(n=24)
-        u = GridFunction(spec.grid, np.zeros(25), np.zeros(25))
-        for _ in range(3):
-            u = fixed_point_map(spec, 1.0, u)
-        before = residual(spec, 1.0, u).c1
-        after = residual(spec, 1.0,
-                         _newton_polish(spec, 1.0, u, SolveOptions())).c1
-        assert after < before / 1e4
+
+class TestAnderson:
+    @pytest.mark.parametrize("n", [200, 3200])
+    def test_template_stages_converge_fast(self, n):
+        opts = SolveOptions(tol=1e-10)
+        rep = solve_fixed_point(template(n), opts)
+        assert rep.residuals.c1 <= opts.tol
+        assert max(rep.residuals.bc_defects) <= 10 * opts.tol
+        assert len(rep.lambda_path) == opts.lambda_steps
+        assert all(stage.iterations <= 10 for stage in rep.lambda_path)
+        assert all(stage.newton_calls == 0 for stage in rep.lambda_path)
+
+    def test_halving_rescues_out_of_range_extrapolation(self):
+        # unguarded Anderson extrapolates out of the flux range here
+        def f(t, u, v):
+            return (0.997 * (np.exp(1.207 * v) - np.exp(1.207 * 0.3))
+                    - 0.328 * (1 / (0.988 + u)))
+        spec = ProblemSpec(Grid(0.913097618331488, 200), curvature(),
+                           RightHandSide(fn=f), BoundaryCondition.P1)
+        rep = solve_fixed_point(spec)
+        assert rep.residuals.c1 <= 1e-10
+
+    def test_rejected_iterate_is_pulled_back(self, monkeypatch):
+        spec = template(200)
+        clean = solve_fixed_point(spec)
+        real_map = tribvp.solver.fixed_point_map
+        calls = 0
+
+        def flaky(spec_, lam, u):
+            nonlocal calls
+            calls += 1
+            if calls == 3:  # the first iterate built from a secant pair
+                raise RangeViolation("injected")
+            return real_map(spec_, lam, u)
+
+        monkeypatch.setattr(tribvp.solver, "fixed_point_map", flaky)
+        rep = solve_fixed_point(spec)
+        assert calls > 3
+        assert rep.lambda_path[0].iterations > clean.lambda_path[0].iterations
+        assert rep.residuals.c1 <= 1e-10
+        assert np.abs(rep.solution.values - clean.solution.values).max() <= 1e-9
+        assert np.abs(rep.solution.derivs - clean.solution.derivs).max() <= 1e-9
 
 
 class TestShooting:
