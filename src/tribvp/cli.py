@@ -1,13 +1,14 @@
 """Command line front end: solve / check / degree over INI problem files.
 
-Exit codes are part of the interface and disjoint by construction:
+Exit codes are part of the interface and disjoint by construction; the
+failures among them come from one table per subcommand, `EXIT_CODES`:
 
     0   success (solve converged / all checks passed / degree nonzero)
     1   check found a failing condition, or the degree is zero
     2   no convergence or a non-finite f (solve), or an uncertifiable
         boundary or a non-finite f (degree)
     3   hypothesis hard-failure under --require-hypotheses, or seeding failure
-    4   unreadable input: file, expression, or option errors
+    4   unreadable input: file, expression, option or domain errors, M1 >= M2
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from dataclasses import replace
 import numpy as np
 
 from .degree import degree_for_problem
-from .errors import (EmptyDomain, HypothesisFailed, NoConvergence, NonFinite,
-                     NoRoot, PreconditionViolated, ProblemFileError,
-                     RangeViolation, RefinementExhausted, StepRejected,
-                     ZeroOnBoundary)
+from .errors import (BvpError, EmptyDomain, HypothesisFailed,
+                     PreconditionViolated, ProblemFileError)
 from .hypotheses import SamplingBox, check_problem
 from .operators import BoundaryCondition, nemytskii
 from .problem_file import load_problem
@@ -31,6 +30,17 @@ from .solver import solve
 __all__ = ["main", "entry"]
 
 CSV_HEADER = "t,u,du,phi_du,f"
+
+# Exit code of every BvpError, per subcommand.  The nearest class in the
+# exception's MRO picks the row, so an error not named here gets the
+# subcommand's BvpError row.  Exit 1 is check's verdict and is printed on
+# stdout with the other verdict lines; every other failure goes to stderr.
+EXIT_CODES: dict[str, dict[type, int]] = {
+    "solve": {BvpError: 2, HypothesisFailed: 3, ProblemFileError: 4},
+    "check": {BvpError: 1, ProblemFileError: 4},
+    "degree": {BvpError: 2, EmptyDomain: 4, PreconditionViolated: 4,
+               ProblemFileError: 4},
+}
 
 
 def entry() -> None:
@@ -42,9 +52,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except BvpError as exc:
+        table = EXIT_CODES[args.command]
+        code = next(table[cls] for cls in type(exc).__mro__ if cls in table)
+        if code == 1:
+            print(f"fail: {exc}")
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,11 +105,7 @@ def _run_solve(args) -> int:
         opts = replace(opts, backend=args.backend)
 
     if args.require_hypotheses:
-        try:
-            report = check_problem(doc.spec, doc.hypothesis_data)
-        except HypothesisFailed as exc:
-            print(f"hypotheses: {exc}", file=sys.stderr)
-            return 3
+        report = check_problem(doc.spec, doc.hypothesis_data)
         if not report.passed:
             for name, verdict in report.verdicts.items():
                 if not verdict.ok:
@@ -107,18 +118,10 @@ def _run_solve(args) -> int:
 
     try:
         result = solve(doc.spec, opts)
-    except HypothesisFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NoConvergence as exc:
-        print(_summary("fail", exc.best_residual, exc.iterations, opts.backend))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NoRoot, StepRejected, RangeViolation, PreconditionViolated,
-            NonFinite) as exc:
-        print(_summary("fail", float("nan"), 0, opts.backend))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BvpError as exc:
+        print(_summary("fail", getattr(exc, "best_residual", float("nan")),
+                       getattr(exc, "iterations", 0), opts.backend))
+        raise
 
     table = _csv_table(doc.spec, result.solution)
     if args.out is not None:
@@ -161,11 +164,7 @@ def _fmt(x: float) -> str:
 def _run_check(args) -> int:
     doc = load_problem(args.file)
     box = SamplingBox(seed=args.seed)
-    try:
-        report = check_problem(doc.spec, doc.hypothesis_data, box)
-    except HypothesisFailed as exc:
-        print(f"fail: {exc}")
-        return 1
+    report = check_problem(doc.spec, doc.hypothesis_data, box)
     for name, verdict in report.verdicts.items():
         line = f"{name}: {verdict.status.value} - {verdict.detail}"
         if verdict.counterexample is not None:
@@ -191,18 +190,10 @@ def _run_check(args) -> int:
 def _run_degree(args) -> int:
     doc = load_problem(args.file)
     if doc.spec.bc is BoundaryCondition.P2:
-        print("error: the plane reduction applies to the slope-anchored "
-              "cases only (bc = p1 or p1t)", file=sys.stderr)
-        return 4
-    try:
-        result = degree_for_problem(doc.spec, rho=args.rho, kappa=args.kappa,
-                                    m=args.samples)
-    except (EmptyDomain, PreconditionViolated, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ZeroOnBoundary, RefinementExhausted, NonFinite) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise PreconditionViolated("the plane reduction applies to the "
+                                   "slope-anchored cases only (bc = p1 or p1t)")
+    result = degree_for_problem(doc.spec, rho=args.rho, kappa=args.kappa,
+                                m=args.samples)
     print(f"degree={result.degree} "
           f"min_boundary_norm={result.min_boundary_norm:.10g} "
           f"samples={result.samples_used}")

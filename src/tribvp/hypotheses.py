@@ -21,6 +21,10 @@ width threshold), the solution-norm bound r * (2 + T), and the admissible
 For p2 the hypothesis is a global bound |f| <= c with c < a / (2 T); then
 slopes obey |phi(u')| <= 2 c T and the solution norm is bounded by
 L * (2 + T) with L = phi^{-1}(2 c T).
+
+Sampled conditions probe f at points i = 1..N of the R_3 Kronecker sequence
+(shift + i * (g^-1, g^-2, g^-3)) mod 1, g the real root of x^4 = x + 1, mapped
+affinely onto the box; the Cranley-Patterson shift is drawn from the box seed.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import HypothesisFailed, InvalidThresholds
 from .grid import integrate
@@ -101,18 +104,19 @@ class HypothesisReport:
     def passed(self) -> bool:
         return bool(self.verdicts) and all(v.ok for v in self.verdicts.values())
 
-    @property
-    def sample_counts(self) -> dict[str, int]:
-        return {name: v.samples for name, v in self.verdicts.items() if v.samples}
+
+_R3_ALPHA = 1.2207440846057596 ** -np.arange(1.0, 4.0)  # root of x^4 = x + 1
 
 
-def _quasi_random(count: int, dim: int, seed: int) -> np.ndarray:
-    return qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+def _quasi_random(count: int, seed: int) -> np.ndarray:
+    shift = np.random.default_rng(seed).random(3)
+    i = np.arange(1, count + 1, dtype=float)[:, None]
+    return (shift + i * _R3_ALPHA) % 1.0
 
 
 def _probe(spec: ProblemSpec, box: SamplingBox, y_lo: float, y_hi: float,
            seed_shift: int) -> tuple[np.ndarray, ...]:
-    pts = _quasi_random(box.samples, 3, box.seed + seed_shift)
+    pts = _quasi_random(box.samples, box.seed + seed_shift)
     t = pts[:, 0] * spec.grid.T
     x = (2.0 * pts[:, 1] - 1.0) * box.x_halfwidth
     y = y_lo + pts[:, 2] * (y_hi - y_lo)

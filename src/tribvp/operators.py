@@ -52,16 +52,9 @@ class BoundaryCondition(enum.Enum):
 
 @dataclass(frozen=True)
 class RightHandSide:
-    """f(t, x, y) evaluated vectorized; x is the value slot, y the slope slot.
-
-    `bound` is an optional user-asserted global bound on |f|; `lower_envelope`
-    an optional function c(t) (or constant) with f(t, x, y) >= c(t) everywhere.
-    Neither is verified here; the hypothesis checker samples them.
-    """
+    """f(t, x, y) evaluated vectorized; x is the value slot, y the slope slot."""
 
     fn: Callable[[Any, Any, Any], Any]
-    bound: float | None = None
-    lower_envelope: Callable | float | None = None
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,9 @@ def loads(text: str, source_path: str | None = None) -> ProblemDocument:
     hyp = cp["hypotheses"] if cp.has_section("hypotheses") else {}
     m1 = _opt_float(hyp, "hypotheses", "M1")
     m2 = _opt_float(hyp, "hypotheses", "M2")
+    if m1 is not None and m2 is not None and not m1 < m2:
+        raise ProblemFileError(
+            f"[hypotheses] M1 must be below M2, got M1={m1!r} M2={m2!r}")
     c_bound = _opt_float(hyp, "hypotheses", "c_bound")
     kappa = _opt_float(hyp, "hypotheses", "kappa")
     rho = _opt_float(hyp, "hypotheses", "rho")
@@ -136,9 +139,8 @@ def loads(text: str, source_path: str | None = None) -> ProblemDocument:
     except ValueError as exc:
         raise ProblemFileError(f"[solver] {exc}") from exc
 
-    rhs = RightHandSide(fn=as_callable(f_tree), bound=c_bound,
-                        lower_envelope=c_lower)
-    spec = ProblemSpec(grid=grid, phi=phi, rhs=rhs, bc=bc)
+    spec = ProblemSpec(grid=grid, phi=phi,
+                       rhs=RightHandSide(fn=as_callable(f_tree)), bc=bc)
     data = HypothesisData(m1=m1, m2=m2, c_lower=c_lower, c_bound=c_bound,
                           kappa=kappa, rho=rho)
     return ProblemDocument(spec=spec, options=options, hypothesis_data=data,

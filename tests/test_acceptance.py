@@ -96,9 +96,8 @@ def _admissible_template(rng: np.random.Generator, bc: BoundaryCondition):
                 + delta * np.cos(omega * t) * (1.0 + 0.1 * np.sin(x)))
 
     c_lower = -(gamma * math.pi / 2.0 + 1.1 * delta)
-    rhs = RightHandSide(fn=f, lower_envelope=c_lower)
-    spec = ProblemSpec(Grid(T, 200), curvature(), rhs, bc)
-    return spec, m1, m2
+    spec = ProblemSpec(Grid(T, 200), curvature(), RightHandSide(fn=f), bc)
+    return spec, m1, m2, c_lower
 
 
 def test_criterion_1_steep_slope_end_to_end():
@@ -177,7 +176,7 @@ def test_criterion_4_fixed_points_solve_the_bvp():
         cases.append((replace(doc.spec, bc=BoundaryCondition.P1T), doc.options))
         for i in range(6):
             bc = BoundaryCondition.P1 if i % 2 == 0 else BoundaryCondition.P1T
-            spec, _, _ = _admissible_template(rng, bc)
+            spec, _, _, _ = _admissible_template(rng, bc)
             cases.append((spec, SolveOptions()))
         worst_mean, worst_defect = 0.0, 0.0
         for spec, opts in cases:
@@ -228,7 +227,7 @@ def test_criterion_5_degree_axioms():
 
 def test_criterion_6_grid_convergence():
     with criterion(6, "bounded forcing: empirical sup-norm order >= 1.8"):
-        rhs = RightHandSide(fn=lambda t, x, y: 0.4 * np.cos(x), bound=0.4)
+        rhs = RightHandSide(fn=lambda t, x, y: 0.4 * np.cos(x))
         opts = SolveOptions(tol=1e-11)
 
         def solution_at(n: int):
@@ -254,13 +253,13 @@ def test_criterion_7_a_priori_bound():
         rng = np.random.default_rng(7)
         slack_worst = 0.0
         for trial in range(20):
-            spec, m1, m2 = _admissible_template(rng, BoundaryCondition.P1)
+            spec, m1, m2, c_lower = _admissible_template(rng, BoundaryCondition.P1)
             box = SamplingBox(samples=20_000, seed=trial)
-            bounds = compute_bounds_p1(spec, m1, m2, spec.rhs.lower_envelope, box)
+            bounds = compute_bounds_p1(spec, m1, m2, c_lower, box)
             assert bounds.r is not None
             lo, hi = bounds.kappa_range
             data = HypothesisData(
-                m1=m1, m2=m2, c_lower=spec.rhs.lower_envelope,
+                m1=m1, m2=m2, c_lower=c_lower,
                 kappa=0.5 * (lo + hi), rho=1.05 * bounds.rho_min)
             report = check_problem(spec, data, box)
             assert report.passed

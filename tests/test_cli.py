@@ -4,11 +4,15 @@ from pathlib import Path
 
 import pytest
 
+from tribvp import cli
 from tribvp.cli import main
+from tribvp.errors import BvpError
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 STEEP = str(PROBLEMS / "steep_slope.prob")
 BOUNDED = str(PROBLEMS / "bounded_forcing.prob")
+MISORDERED = ("[problem]\nT = 0.01\nf = exp(4*v) - e\nbc = p1\n"
+              "[hypotheses]\nM1 = 1\nM2 = 0\nc_lower = -3\n")
 
 
 def write(tmp_path, text, name="case.prob"):
@@ -99,6 +103,14 @@ class TestSolve:
         path = write(tmp_path, "[problem]\nT = 1\nf = sin(\nbc = p1\n")
         assert main(["solve", path]) == 4
 
+    def test_require_hypotheses_misordered_thresholds_exit_4(self, tmp_path,
+                                                            capsys):
+        path = write(tmp_path, MISORDERED)
+        assert main(["solve", path, "--require-hypotheses"]) == 4
+        captured = capsys.readouterr()
+        assert "M1 must be below M2" in captured.err
+        assert captured.out == ""
+
 
 class TestCheck:
     def test_steep_slope_passes(self, capsys):
@@ -127,6 +139,13 @@ class TestCheck:
                      "[hypotheses]\nc_bound = 0.6\n")
         assert main(["check", path]) == 1
         assert "fail" in capsys.readouterr().out
+
+    def test_misordered_thresholds_exit_4(self, tmp_path, capsys):
+        path = write(tmp_path, MISORDERED)
+        assert main(["check", path]) == 4
+        captured = capsys.readouterr()
+        assert "M1 must be below M2" in captured.err
+        assert captured.out == ""
 
     def test_seed_changes_nothing_essential(self, capsys):
         assert main(["check", STEEP, "--seed", "7"]) == 0
@@ -175,3 +194,23 @@ class TestDegree:
                      "--samples", "256"])
         assert code == 0
         assert "samples=" in capsys.readouterr().out
+
+
+class Unlisted(BvpError):
+    """An error no exit-code table names."""
+
+
+@pytest.mark.parametrize("argv,target,code,stream", [
+    (["solve", STEEP], "solve", 2, "err"),
+    (["check", STEEP], "check_problem", 1, "out"),
+    (["degree", STEEP, "--rho", "1.2", "--kappa", "0.9"],
+     "degree_for_problem", 2, "err"),
+], ids=["solve", "check", "degree"])
+def test_unlisted_error_gets_the_failure_code(monkeypatch, capsys, argv,
+                                              target, code, stream):
+    def fail(*args, **kwargs):
+        raise Unlisted("unlisted failure")
+
+    monkeypatch.setattr(cli, target, fail)
+    assert main(argv) == code
+    assert "unlisted failure" in getattr(capsys.readouterr(), stream)

@@ -6,21 +6,48 @@ import pytest
 from tribvp import (BoundaryCondition, Grid, HypothesisData, HypothesisFailed,
                     InvalidThresholds, ProblemSpec, RightHandSide, SamplingBox,
                     Verdict, check_problem, curvature)
-from tribvp.hypotheses import (check_bound_p2, check_sign_condition,
+from tribvp.hypotheses import (_probe, check_bound_p2, check_sign_condition,
                                compute_bounds_p1)
 
 BOX = SamplingBox(samples=20_000, seed=0)  # smaller box keeps the suite fast
 
 
 def steep_spec(n=100):
-    rhs = RightHandSide(fn=lambda t, u, v: np.exp(4 * v) - np.e,
-                        lower_envelope=-3.0)
+    rhs = RightHandSide(fn=lambda t, u, v: np.exp(4 * v) - np.e)
     return ProblemSpec(Grid(0.01, n), curvature(), rhs, BoundaryCondition.P1)
 
 
 def cosine_spec(beta, n=100):
-    rhs = RightHandSide(fn=lambda t, u, v: beta * np.cos(u), bound=beta)
+    rhs = RightHandSide(fn=lambda t, u, v: beta * np.cos(u))
     return ProblemSpec(Grid(1.0, n), curvature(), rhs, BoundaryCondition.P2)
+
+
+class TestSampler:
+    @staticmethod
+    def unit_points(seed, samples=100_000):
+        # T = 1, x in [-1/2, 1/2), y in [0, 1): the probe's map is a shift
+        spec = ProblemSpec(Grid(1.0, 10), curvature(),
+                           RightHandSide(fn=lambda t, u, v: 0.0 * t),
+                           BoundaryCondition.P2)
+        box = SamplingBox(x_halfwidth=0.5, samples=samples, seed=seed)
+        t, x, y, _ = _probe(spec, box, 0.0, 1.0, seed_shift=0)
+        return np.column_stack([t, x + 0.5, y])
+
+    def test_points_in_unit_cube_and_seeded(self):
+        pts = self.unit_points(3, samples=1000)
+        assert pts.shape == (1000, 3)
+        assert ((pts >= 0.0) & (pts < 1.0)).all()
+        assert np.array_equal(pts, self.unit_points(3, samples=1000))
+        assert not np.array_equal(pts, self.unit_points(4, samples=1000))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_low_discrepancy_cell_counts(self, seed):
+        # 100k points in 1000 cells: 100 each on average.  A pseudo-random
+        # sample of this size spreads to roughly 61..143 over a few seeds.
+        cells = np.minimum((self.unit_points(seed) * 10).astype(int), 9)
+        counts = np.bincount(np.ravel_multi_index(cells.T, (10, 10, 10)),
+                             minlength=1000)
+        assert 75 <= counts.min() and counts.max() <= 130
 
 
 class TestSignCondition:

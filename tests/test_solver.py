@@ -24,7 +24,7 @@ def cosine(n=100, beta=0.4):
 
 def template(n):
     """The first criterion-7 p1 template problem, regridded to n intervals."""
-    spec, _, _ = _admissible_template(np.random.default_rng(7), BoundaryCondition.P1)
+    spec, _, _, _ = _admissible_template(np.random.default_rng(7), BoundaryCondition.P1)
     return ProblemSpec(Grid(spec.grid.T, n), spec.phi, spec.rhs, spec.bc)
 
 
