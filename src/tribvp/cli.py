@@ -8,7 +8,8 @@ failures among them come from one table per subcommand, `EXIT_CODES`:
     2   no convergence or a non-finite f (solve), or an uncertifiable
         boundary or a non-finite f (degree)
     3   hypothesis hard-failure under --require-hypotheses, or seeding failure
-    4   unreadable input: file, expression, option or domain errors, M1 >= M2
+    4   unreadable input: bad command line, file, expression, option or
+        domain errors, M1 >= M2
 """
 
 from __future__ import annotations
@@ -62,8 +63,28 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command line errors exit 4, with the other unreadable input, instead of
+    argparse's 2, which here means no convergence.  Subparsers inherit it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tribvp",
         description="Solve, check, and certify three-point boundary value "
                     "problems with a bounded flux nonlinearity.")
@@ -82,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the hypothesis checker")
     p_check.add_argument("file")
-    p_check.add_argument("--seed", type=int, default=0,
+    p_check.add_argument("--seed", type=_non_negative_int, default=0,
                          help="seed for the sampling sequence")
     p_check.set_defaults(handler=_run_check)
 

@@ -71,7 +71,7 @@ class NoConvergence(BvpError):
 
 
 class NoRoot(BvpError):
-    """A root scan or multistart search found nothing to converge to."""
+    """A root scan found no sign change to refine."""
 
 
 class StepRejected(BvpError):

@@ -118,14 +118,52 @@ def right_value(u: GridFunction) -> float:
     return float(u.values[-1])
 
 
-def balancing_shift(phi: Homeomorphism, grid: Grid, h_values, *,
-                    max_iters: int = 200) -> float:
+def _bracket_root(fn, lo: float, hi: float, f_lo: float, f_hi: float,
+                  max_iters: int = 200) -> float:
+    """Root of the scalar function fn inside the bracket [lo, hi], given the
+    values f_lo = fn(lo) and f_hi = fn(hi) of opposite signs.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant point
+    replaces the endpoint of its sign, and an endpoint kept twice in a row has
+    its value halved.  A secant point not strictly inside the bracket is
+    replaced by the midpoint.  Stops at an exact zero or when lo and hi are
+    adjacent floats, and then returns the endpoint of smaller |value|, so the
+    result is always a point fn was evaluated at.  NaN when fn turns
+    non-finite inside the bracket.
+    """
+    kept = 0          # -1: lo kept last time, +1: hi kept last time
+    true_lo, true_hi = f_lo, f_hi
+    for _ in range(max_iters):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = float(fn(x))
+        if not np.isfinite(fx):
+            return float("nan")
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo, true_lo = x, fx, fx
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi, true_hi = x, fx, fx
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    return lo if abs(true_lo) <= abs(true_hi) else hi
+
+
+def balancing_shift(phi: Homeomorphism, grid: Grid, h_values) -> float:
     """The unique constant q with  int_0^T phi^{-1}(h(t) - q) dt = 0.
 
     Defined for sup|h| < a/2 (then |h - q| < a for every q in the range of h,
     so the integrand exists).  q -> integral is continuous and strictly
-    decreasing, and changes sign between min h and max h; bisection on that
-    bracket converges to the last representable digit.
+    decreasing, and changes sign between min h and max h; `_bracket_root` on
+    that bracket converges to adjacent floats.
     """
     hv = np.asarray(h_values, dtype=float)
     sup = float(np.abs(hv).max())
@@ -147,18 +185,7 @@ def balancing_shift(phi: Homeomorphism, grid: Grid, h_values, *,
     f_hi = balance(hi)
     if f_hi >= 0.0:
         return hi
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = balance(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bracket_root(balance, lo, hi, f_lo, f_hi)
 
 
 def fixed_point_map(spec: ProblemSpec, lam: float, u: GridFunction) -> GridFunction:

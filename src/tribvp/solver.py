@@ -10,9 +10,11 @@ iterate leaves the map's domain.
 
 The oracle route never touches those maps: it rewrites the equation as the
 first-order system u' = phi^{-1}(v), v' = f(t, u, phi^{-1}(v)) and shoots with
-a fixed-step classical Runge-Kutta integrator, matching the boundary condition
-by scalar bisection (p1/p1t) or a damped two-parameter Newton search (p2).
-Agreement between the two routes is the package's main self-check.
+a fixed-step classical Runge-Kutta integrator.  Each boundary condition ties
+three boundary quantities to one shared value k, so every case is a scalar
+equation in k: a batched sweep over a scan of k finds a sign change, and
+Illinois regula falsi refines it.  Agreement between the two routes is the
+package's main self-check.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .errors import (BvpError, HypothesisFailed, NoConvergence, NonFinite,
                      NoRoot, PreconditionViolated, RangeViolation, StepRejected)
 from .grid import Grid, GridFunction, norm_c1
 from .operators import (BoundaryCondition, ProblemSpec, ResidualReport,
-                        _trapz, bc_defects, fixed_point_map, mean_value,
-                        nemytskii, residual)
+                        _bracket_root, _trapz, bc_defects, fixed_point_map,
+                        mean_value, nemytskii, residual)
 
 __all__ = [
     "SolveOptions", "LambdaStage", "SolveReport",
@@ -46,9 +48,10 @@ MAX_HALVINGS = 6     # pull-backs of one out-of-domain iterate before giving up
 class SolveOptions:
     """Knobs for both routes.
 
-    seed_radius bounds the search for initial data (the scalar scan interval
-    for p1/p1t, the multistart box for p2 shooting); apriori_bound, when set,
-    is compared against the C^1 norm of the result to fill SolveReport.apriori_ok.
+    seed_radius bounds the search for initial data: the scalar scan interval
+    of the lambda = 0 seed for p1/p1t, and, widened by 1, the shooting scan
+    over k for every boundary condition.  apriori_bound, when set, is
+    compared against the C^1 norm of the result to fill SolveReport.apriori_ok.
     """
 
     tol: float = 1e-10
@@ -149,9 +152,12 @@ def _seed(spec: ProblemSpec, opts: SolveOptions) -> GridFunction:
     direction = _affine_direction(spec)
     radius = DEFAULT_SEED_RADIUS if opts.seed_radius is None else float(opts.seed_radius)
 
-    def mismatch(k: float) -> float:
-        u = GridFunction(grid, k * direction, np.full(grid.n + 1, k))
-        return _trapz(grid, nemytskii(spec, u))
+    def mismatch(ks: np.ndarray) -> np.ndarray:
+        out = []
+        for k in ks:
+            u = GridFunction(grid, k * direction, np.full(grid.n + 1, k))
+            out.append(_trapz(grid, nemytskii(spec, u)))
+        return np.array(out)
 
     try:
         k_root = _scan_root(mismatch, -radius, radius, 65)
@@ -241,68 +247,45 @@ def _family_flag(spec: ProblemSpec, u: GridFunction, opts: SolveOptions) -> bool
 
 # ---------------------------------------------------------------- root scans
 
-def _scan_root(fn, lo: float, hi: float, seeds: int, *,
-               tolerate_failures: bool = False) -> float:
-    """Sign-change scan followed by bisection.
+def _scan_root(fn, lo: float, hi: float, seeds: int) -> float:
+    """Sign-change scan followed by `_bracket_root` on the first bracket.
 
-    If the scan finds no sign change but some value is numerically zero, that
-    argument is returned (covers flat one-parameter families).  Evaluation
-    failures (rejected integrations) only skip seeds when tolerated.
+    fn maps an array of arguments to an array of values in one call; a NaN
+    value marks an argument fn could not evaluate, and a bracket whose
+    refinement meets one is skipped for the next.  If the scan finds no sign
+    change but some value is numerically zero, that argument is returned
+    (covers flat one-parameter families).  The result is always an argument
+    fn was evaluated at.
     """
     ks = np.linspace(lo, hi, seeds)
-    vals: list[float | None] = []
-    for k in ks:
-        try:
-            vals.append(float(fn(float(k))))
-        except (StepRejected, RangeViolation, PreconditionViolated):
-            if not tolerate_failures:
-                raise
-            vals.append(None)
-    valid = [(k, v) for k, v in zip(ks, vals) if v is not None]
-    if not valid:
+    vals = np.asarray(fn(ks), dtype=float)
+    valid = np.isfinite(vals)
+    if not valid.any():
         raise NoRoot("every seed of the scan failed to evaluate")
-    scale = max(1.0, max(abs(v) for _, v in valid))
-    tiny = 1e-12 * scale
-    for i in range(len(vals) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va is None or vb is None:
-            continue
-        if va == 0.0:
+
+    def scalar(k: float) -> float:
+        return float(fn(np.array([k]))[0])
+
+    starts = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
+    for i in np.flatnonzero(starts):
+        if vals[i] == 0.0:
             return float(ks[i])
-        if va * vb < 0.0:
-            try:
-                return _bisect(fn, float(ks[i]), float(ks[i + 1]), va, vb)
-            except (StepRejected, RangeViolation, PreconditionViolated):
-                if not tolerate_failures:
-                    raise
-                continue
-    k_best, v_best = min(valid, key=lambda kv: abs(kv[1]))
-    if abs(v_best) <= tiny:
-        return float(k_best)
+        root = _bracket_root(scalar, float(ks[i]), float(ks[i + 1]),
+                             float(vals[i]), float(vals[i + 1]))
+        if math.isfinite(root):
+            return root
+    magnitude = np.abs(vals)
+    best = int(np.nanargmin(magnitude))
+    if magnitude[best] <= 1e-12 * max(1.0, float(np.nanmax(magnitude))):
+        return float(ks[best])
     raise NoRoot(
-        f"no sign change among {len(valid)} valid seeds in [{lo:g}, {hi:g}] "
-        f"(smallest |value| {abs(v_best):.3g})")
-
-
-def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
-            max_iters: int = 200) -> float:
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = float(fn(mid))
-        if f_mid == 0.0:
-            return mid
-        if (f_lo > 0.0) == (f_mid > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+        f"no sign change among {int(valid.sum())} valid seeds in [{lo:g}, {hi:g}] "
+        f"(smallest |value| {magnitude[best]:.3g})")
 
 
 # ------------------------------------------------------------------ shooting
 
-def shoot_ivp(spec: ProblemSpec, u0: float, slope0: float, *,
+def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
               backward: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step classical Runge-Kutta for the first-order system
 
@@ -310,165 +293,101 @@ def shoot_ivp(spec: ProblemSpec, u0: float, slope0: float, *,
 
     landing exactly on the grid nodes.  With backward=True the data
     (u0, slope0) is imposed at t = T and the sweep runs right to left; arrays
-    are always returned in ascending node order.  Raises StepRejected the
-    moment any stage needs phi^{-1} outside (-a, a).
+    are always returned in ascending node order.
+
+    u0 and slope0 broadcast against each other, and every shot of the
+    broadcast shape is integrated in the same sweep: the returned arrays have
+    that shape plus one trailing axis of n + 1 nodes.  A shot whose stage
+    needs phi^{-1} outside (-a, a), or whose values turn non-finite, comes
+    back as a row of NaN.  A single scalar shot raises StepRejected instead.
     """
     grid = spec.grid
     phi = spec.phi
     a = phi.a
     f = spec.rhs.fn
     t_nodes = grid.nodes
-    h = grid.h if not backward else -grid.h
+    h = -grid.h if backward else grid.h
     n = grid.n
+    u0, slope0 = np.broadcast_arrays(np.asarray(u0, dtype=float),
+                                     np.asarray(slope0, dtype=float))
+    shape = u0.shape
 
-    def deriv(t: float, uu: float, vv: float) -> tuple[float, float]:
-        if not abs(vv) < a:
-            raise StepRejected(
-                f"phi(u') reached {vv:.6g} at t = {t:.6g}, outside (-{a:g}, {a:g})",
-                time=t)
-        du = float(phi.inv_fn(vv))
-        with np.errstate(all="ignore"):
-            dv = float(f(t, uu, du))
-        if not (math.isfinite(du) and math.isfinite(dv)):
-            raise StepRejected(f"non-finite derivative at t = {t:.6g}", time=t)
-        return du, dv
+    def deriv(t: float, uu: np.ndarray, vv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # mask before inverting: tan (the atan flux) is finite garbage beyond +-a
+        du = phi.inv_fn(np.where(np.abs(vv) < a, vv, np.nan))
+        return du, f(t, uu, du)
 
-    us = np.empty(n + 1)
-    vs = np.empty(n + 1)
-    order = range(n, -1, -1) if backward else range(n + 1)
-    idx = list(order)
-    us[idx[0]] = u0
-    vs[idx[0]] = phi.forward(slope0)
-    for step in range(n):
-        i = idx[step]
-        j = idx[step + 1]
-        t0 = float(t_nodes[i])
-        uu, vv = float(us[i]), float(vs[i])
-        k1u, k1v = deriv(t0, uu, vv)
-        k2u, k2v = deriv(t0 + 0.5 * h, uu + 0.5 * h * k1u, vv + 0.5 * h * k1v)
-        k3u, k3v = deriv(t0 + 0.5 * h, uu + 0.5 * h * k2u, vv + 0.5 * h * k2v)
-        k4u, k4v = deriv(t0 + h, uu + h * k3u, vv + h * k3v)
-        us[j] = uu + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        vs[j] = vv + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not abs(vs[j]) < a:
-            raise StepRejected(
-                f"phi(u') reached {vs[j]:.6g} at t = {float(t_nodes[j]):.6g}, "
-                f"outside (-{a:g}, {a:g})", time=float(t_nodes[j]))
-    return us, vs
+    order = np.arange(n, -1, -1) if backward else np.arange(n + 1)
+    us = np.full((n + 1, u0.size), np.nan)
+    vs = np.full_like(us, np.nan)
+    us[order[0]] = u0.ravel()
+    vs[order[0]] = phi.forward(slope0.ravel())
+    with np.errstate(all="ignore"):
+        for i, j in zip(order[:-1], order[1:]):
+            t0 = float(t_nodes[i])
+            uu, vv = us[i], vs[i]
+            k1u, k1v = deriv(t0, uu, vv)
+            k2u, k2v = deriv(t0 + 0.5 * h, uu + 0.5 * h * k1u, vv + 0.5 * h * k1v)
+            k3u, k3v = deriv(t0 + 0.5 * h, uu + 0.5 * h * k2u, vv + 0.5 * h * k2v)
+            k4u, k4v = deriv(t0 + h, uu + h * k3u, vv + h * k3v)
+            u_next = uu + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            v_next = vv + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            alive = (np.abs(v_next) < a) & np.isfinite(u_next)
+            us[j] = u_next
+            vs[j] = np.where(alive, v_next, np.nan)
+            if not alive.any():
+                if not shape:
+                    raise StepRejected(
+                        f"the shot left the flux range (-{a:g}, {a:g}) or turned "
+                        f"non-finite between t = {t0:.6g} and t = "
+                        f"{float(t_nodes[j]):.6g}", time=float(t_nodes[j]))
+                break
+    dead = np.isnan(vs[order[-1]])
+    us[:, dead] = np.nan
+    vs[:, dead] = np.nan
+    return us.T.reshape(shape + (n + 1,)), vs.T.reshape(shape + (n + 1,))
 
 
 def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> SolveReport:
+    """Every boundary condition ties three boundary quantities to one shared
+    value k, so each is a scalar shooting problem in k:
+
+        p1   forward from u(0) = u'(0) = k, match u'(T) = k
+        p1t  backward from u(T) = u'(T) = k, match u'(0) = k
+        p2   backward from u(T) = u'(T) = k, match u(0) = k
+
+    k is found by `_scan_root`, whose 64-seed scan is one batched sweep, and
+    the solution is the shot already taken at that k.
+    """
     radius = DEFAULT_SEED_RADIUS if opts.seed_radius is None else float(opts.seed_radius)
-    shots = 0
+    phi = spec.phi
+    bc = spec.bc
+    backward = bc is not BoundaryCondition.P1
+    shots: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def count():
-        nonlocal shots
-        shots += 1
+    def matched(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        if bc is BoundaryCondition.P2:
+            return us[..., 0]
+        return phi.inv_fn(vs[..., 0] if backward else vs[..., -1])
 
-    if spec.bc is BoundaryCondition.P2:
-        u, defect = _shoot_p2(spec, radius, opts, count)
-    else:
-        u, defect = _shoot_anchored(spec, radius, count)
+    def mismatch(ks: np.ndarray) -> np.ndarray:
+        us, vs = shoot_ivp(spec, ks, ks, backward=backward)
+        shots.update(zip(ks.tolist(), zip(us, vs)))
+        return matched(us, vs) - ks
+
+    # _scan_root returns one of the arguments it evaluated
+    k_root = _scan_root(mismatch, -radius - 1.0, radius + 1.0, 64)
+    us, vs = shots[k_root]
+    u = GridFunction(spec.grid, us, phi.inverse(vs))
     rep = ResidualReport(
-        c1=defect,
-        bc_defects=bc_defects(spec.bc, u),
+        c1=abs(float(matched(us, vs)) - k_root),
+        bc_defects=bc_defects(bc, u),
         mean=abs(mean_value(spec.grid, nemytskii(spec, u))))
     return SolveReport(
-        solution=u, residuals=rep, iterations=shots,
+        solution=u, residuals=rep, iterations=len(shots),
         lambda_path=(), backend="shooting",
         apriori_ok=_apriori_ok(u, opts),
         solution_family=_family_flag(spec, u, opts))
-
-
-def _shoot_anchored(spec: ProblemSpec, radius: float, count) -> tuple[GridFunction, float]:
-    """p1: unknown k = u(0) = u'(0), forward sweep, match u'(T) = k.
-    p1t: unknown k = u(T) = u'(T), backward sweep, match u'(0) = k."""
-    phi = spec.phi
-    backward = spec.bc is BoundaryCondition.P1T
-
-    def mismatch(k: float) -> float:
-        count()
-        us, vs = shoot_ivp(spec, k, k, backward=backward)
-        v_far = float(vs[0] if backward else vs[-1])
-        if not abs(v_far) < phi.a:
-            raise StepRejected(f"terminal phi(u') = {v_far:.6g} out of range")
-        return float(phi.inverse(v_far)) - k
-
-    k_root = _scan_root(mismatch, -radius - 1.0, radius + 1.0, 64,
-                        tolerate_failures=True)
-    count()
-    us, vs = shoot_ivp(spec, k_root, k_root, backward=backward)
-    u = GridFunction(spec.grid, us, phi.inverse(vs))
-    return u, abs(mismatch(k_root))
-
-
-def _shoot_p2(spec: ProblemSpec, radius: float, opts: SolveOptions,
-              count) -> tuple[GridFunction, float]:
-    """p2: unknowns (p, q) = (u(0), u'(0)); match (u(T) - p, u'(T) - p) = 0
-    by damped Newton with a forward-difference Jacobian, multistart grid."""
-    phi = spec.phi
-    ftol = max(1e-13, min(1e-11, opts.tol))
-
-    def mismatch(z: np.ndarray) -> np.ndarray:
-        count()
-        us, vs = shoot_ivp(spec, float(z[0]), float(z[1]))
-        v_T = float(vs[-1])
-        if not abs(v_T) < phi.a:
-            raise StepRejected(f"terminal phi(u') = {v_T:.6g} out of range")
-        return np.array([float(us[-1]) - float(z[0]),
-                         float(phi.inverse(v_T)) - float(z[0])])
-
-    centers = np.linspace(-radius - 1.0, radius + 1.0, 3)
-    starts = sorted(((x, y) for x in centers for y in centers),
-                    key=lambda p: p[0] * p[0] + p[1] * p[1])
-    last_error: Exception | None = None
-    for start in starts:
-        try:
-            z = _newton2(mismatch, np.array(start, dtype=float), ftol)
-        except (StepRejected, RangeViolation, NoRoot) as exc:
-            last_error = exc
-            continue
-        us, vs = shoot_ivp(spec, float(z[0]), float(z[1]))
-        count()
-        u = GridFunction(spec.grid, us, phi.inverse(vs))
-        return u, float(np.abs(mismatch(z)).max())
-    raise NoRoot("p2 shooting: every multistart point failed to converge") from last_error
-
-
-def _newton2(mismatch, z0: np.ndarray, ftol: float, max_steps: int = 40) -> np.ndarray:
-    z = z0.astype(float)
-    fz = mismatch(z)
-    for _ in range(max_steps):
-        scale = float(np.abs(fz).max())
-        if scale <= ftol:
-            return z
-        jac = np.empty((2, 2))
-        for j in range(2):
-            eps = 1e-7 * max(1.0, abs(z[j]))
-            probe = z.copy()
-            probe[j] += eps
-            jac[:, j] = (mismatch(probe) - fz) / eps
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(det) < 1e-14 * max(1.0, float(np.abs(jac).max()) ** 2):
-            raise NoRoot("singular Jacobian in p2 shooting")
-        delta = np.linalg.solve(jac, -fz)
-        step = 1.0
-        while step >= 1.0 / 256.0:
-            try:
-                cand = z + step * delta
-                fc = mismatch(cand)
-            except StepRejected:
-                step *= 0.5
-                continue
-            if float(np.abs(fc).max()) < scale:
-                z, fz = cand, fc
-                break
-            step *= 0.5
-        else:
-            raise NoRoot("p2 shooting made no progress from this start")
-    if float(np.abs(fz).max()) <= ftol:
-        return z
-    raise NoRoot("p2 shooting Newton budget exhausted")
 
 
 # ----------------------------------------------------------- cross validation

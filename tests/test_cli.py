@@ -153,6 +153,13 @@ class TestCheck:
         assert main(["check", STEEP, "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("seed", ["-5", "x"])
+    def test_bad_seed_exit_4(self, seed, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check", STEEP, "--seed", seed])
+        assert info.value.code == 4
+        assert "--seed: expected a non-negative integer" in capsys.readouterr().err
+
 
 class TestDegree:
     def test_steep_slope_is_minus_one(self, capsys):
@@ -180,6 +187,13 @@ class TestDegree:
         code = main(["degree", path, "--rho", "1.2", "--kappa", "0.9"])
         assert code == 2
         assert "not finite" in capsys.readouterr().err
+
+    def test_missing_rho_exit_4(self, capsys):
+        # argparse's own usage-error code 2 would read as "uncertifiable"
+        with pytest.raises(SystemExit) as info:
+            main(["degree", STEEP])
+        assert info.value.code == 4
+        assert "required: --rho, --kappa" in capsys.readouterr().err
 
     def test_p2_rejected_exit_4(self, capsys):
         code = main(["degree", BOUNDED, "--rho", "1.0", "--kappa", "0.3"])

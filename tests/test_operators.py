@@ -12,7 +12,7 @@ from tribvp import (BoundaryCondition, Grid, GridFunction,
                     RightHandSide, balancing_shift, curvature,
                     fixed_point_map, mean_value, nemytskii, residual,
                     running_integral, running_integral_from_end, scaled_atan)
-from tribvp.operators import _trapz, left_value, right_value
+from tribvp.operators import _bracket_root, _trapz, left_value, right_value
 
 
 def make_spec(T=1.0, n=100, f=lambda t, u, v: 0 * t, bc=BoundaryCondition.P1,
@@ -102,6 +102,38 @@ class TestBalancingShift:
         g = Grid(1.0, 16)
         with pytest.raises(PreconditionViolated):
             balancing_shift(curvature(), g, np.full(17, 0.6))  # >= a/2
+
+
+class TestBracketRoot:
+    @staticmethod
+    def counted(fn):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return fn(x)
+        return wrapped, calls
+
+    def test_returns_an_exact_zero(self):
+        # the first secant point of a linear function is its root
+        fn, calls = self.counted(lambda x: x - 0.5)
+        assert _bracket_root(fn, 0.0, 1.0, -0.5, 0.5) == 0.5
+        assert calls == [0.5]
+
+    def test_steep_function_down_to_adjacent_floats(self):
+        def steep(x):
+            return np.tanh(1e4 * (x - 1.0 / 3.0))
+        fn, calls = self.counted(steep)
+        root = _bracket_root(fn, 0.0, 1.0, steep(0.0), steep(1.0))
+        assert root in calls
+        assert steep(np.nextafter(root, 0.0)) <= 0.0 <= steep(np.nextafter(root, 1.0))
+        # plain bisection needs about 54 halvings of [0, 1] to get there
+        assert len(calls) < 40
+
+    def test_nan_when_fn_turns_non_finite(self):
+        fn, calls = self.counted(lambda x: np.nan if x > 0.4 else x - 0.7)
+        assert np.isnan(_bracket_root(fn, 0.0, 1.0, -0.7, 0.3))
+        assert len(calls) == 1
 
 
 class TestFixedPointMaps:

@@ -6,8 +6,8 @@ import pytest
 import tribvp.solver
 from tribvp import (BoundaryCondition, Grid, HypothesisFailed, NoConvergence,
                     ProblemSpec, RangeViolation, RightHandSide, SolveOptions,
-                    StepRejected, cross_validate, curvature, shoot_ivp, solve,
-                    solve_fixed_point, solve_shooting)
+                    StepRejected, cross_validate, curvature, scaled_atan,
+                    shoot_ivp, solve, solve_fixed_point, solve_shooting)
 
 from test_acceptance import _admissible_template
 
@@ -17,9 +17,9 @@ def steep(bc=BoundaryCondition.P1, n=200):
     return ProblemSpec(Grid(0.01, n), curvature(), rhs, bc)
 
 
-def cosine(n=100, beta=0.4):
+def cosine(n=100, beta=0.4, phi=None):
     rhs = RightHandSide(fn=lambda t, u, v: beta * np.cos(u))
-    return ProblemSpec(Grid(1.0, n), curvature(), rhs, BoundaryCondition.P2)
+    return ProblemSpec(Grid(1.0, n), phi or curvature(), rhs, BoundaryCondition.P2)
 
 
 def template(n):
@@ -176,14 +176,55 @@ class TestShooting:
         assert np.abs(us - us2).max() < 1e-10
         assert np.abs(vs - vs2).max() < 1e-10
 
-    def test_ivp_rejects_range_escape(self):
-        # v(t) = t hits the flux bound a = 1 at t = 1
+    def test_ivp_batch_rows_match_scalar_shots(self):
+        spec = ProblemSpec(Grid(0.5, 100), curvature(),
+                           RightHandSide(fn=lambda t, u, v: 0.3 * np.cos(t + u)),
+                           BoundaryCondition.P1)
+        u0 = np.linspace(-0.4, 0.4, 5)
+        slope0 = np.linspace(0.3, -0.3, 5)
+        for backward in (False, True):
+            us, vs = shoot_ivp(spec, u0, slope0, backward=backward)
+            assert us.shape == vs.shape == (5, 101)
+            for row in range(5):
+                u1, v1 = shoot_ivp(spec, u0[row], slope0[row], backward=backward)
+                assert np.abs(us[row] - u1).max() <= 1e-13
+                assert np.abs(vs[row] - v1).max() <= 1e-13
+
+    def test_ivp_dying_shot_is_a_nan_row(self):
+        # phi(u') = v0 + 0.4 t: the middle shot (v0 = 0.5) reaches a = 1 at
+        # t = 1.25, its neighbours stay inside up to T = 2
         spec = ProblemSpec(Grid(2.0, 100), curvature(),
+                           RightHandSide(fn=lambda t, u, v: 0.4 + 0 * t),
+                           BoundaryCondition.P1)
+        slopes = curvature().inverse(np.array([-0.5, 0.5, 0.0]))
+        us, vs = shoot_ivp(spec, 0.0, slopes)
+        assert np.isnan(us[1]).all() and np.isnan(vs[1]).all()
+        for row in (0, 2):
+            u1, v1 = shoot_ivp(spec, 0.0, slopes[row])
+            assert np.abs(us[row] - u1).max() <= 1e-13
+            assert np.abs(vs[row] - v1).max() <= 1e-13
+        with pytest.raises(StepRejected):
+            shoot_ivp(spec, 0.0, slopes[1])
+
+    @pytest.mark.parametrize("phi", [curvature(), scaled_atan(1.0)],
+                             ids=["curvature", "atan"])
+    def test_ivp_rejects_range_escape(self, phi):
+        # v(t) = t hits the flux bound a = 1 at t = 1
+        spec = ProblemSpec(Grid(2.0, 100), phi,
                            RightHandSide(fn=lambda t, u, v: 1.0 + 0 * t),
                            BoundaryCondition.P1)
         with pytest.raises(StepRejected) as info:
             shoot_ivp(spec, 0.0, 0.0)
         assert info.value.time <= 1.0 + 1e-12
+        # only the last stage of the first step leaves (-1, 1), at 0.1 * 12;
+        # the step itself lands at 0.8.  tan, the inverse of the atan flux,
+        # returns finite numbers out there.
+        spiky = ProblemSpec(Grid(1.0, 10), phi,
+                            RightHandSide(fn=lambda t, u, v: 12.0 * np.sin(10 * np.pi * t)),
+                            BoundaryCondition.P1)
+        with pytest.raises(StepRejected) as info:
+            shoot_ivp(spiky, 0.0, 0.0)
+        assert info.value.time == pytest.approx(0.1)
 
     def test_shooting_steep_slope(self):
         spec = steep()
@@ -217,6 +258,12 @@ class TestCrossValidate:
 
     def test_cosine_agreement(self):
         rep = cross_validate(cosine(n=400), SolveOptions(tol=1e-9))
+        assert rep.backend_agreement < 1e-6
+        assert not rep.disagreement_flagged
+
+    def test_cosine_atan_flux_agreement(self):
+        # p2 shooting sweeps backward through tan, the atan flux's inverse
+        rep = cross_validate(cosine(n=400, phi=scaled_atan(1.0)), SolveOptions(tol=1e-9))
         assert rep.backend_agreement < 1e-6
         assert not rep.disagreement_flagged
 
