@@ -16,15 +16,15 @@ from .errors import (BvpError, EmptyDomain, ExpressionSyntaxError,
                      ProblemFileError, RangeViolation, RefinementExhausted,
                      StepRejected, UnknownIdentifier, ZeroOnBoundary)
 from .expressions import as_callable, evaluate, parse, to_source
-from .grid import Grid, GridFunction, integrate, norm_c1, norm_l1, norm_sup
+from .grid import Grid, GridFunction, norm_c1, norm_sup
 from .homeomorphisms import Homeomorphism, by_name, curvature, scaled_atan
 from .hypotheses import (ConditionVerdict, HypothesisData, HypothesisReport,
                          SamplingBox, Verdict, check_bound_p2, check_problem,
                          check_sign_condition, compute_bounds_p1)
 from .operators import (BoundaryCondition, ProblemSpec, ResidualReport,
-                        RightHandSide, balancing_shift, fixed_point_map,
-                        mean_value, nemytskii, residual, running_integral,
-                        running_integral_from_end)
+                        RightHandSide, affine_mean, balancing_shift,
+                        fixed_point_map, mean_value, nemytskii, residual,
+                        running_integral, running_integral_from_end)
 from .problem_file import ProblemDocument, load_problem, loads
 from .solver import (SolveOptions, SolveReport, cross_validate, shoot_ivp,
                      solve, solve_fixed_point, solve_shooting)
@@ -32,10 +32,10 @@ from .solver import (SolveOptions, SolveReport, cross_validate, shoot_ivp,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "GridFunction", "integrate", "norm_sup", "norm_c1", "norm_l1",
+    "Grid", "GridFunction", "norm_sup", "norm_c1",
     "Homeomorphism", "curvature", "scaled_atan", "by_name",
     "BoundaryCondition", "RightHandSide", "ProblemSpec", "ResidualReport",
-    "nemytskii", "running_integral", "running_integral_from_end",
+    "nemytskii", "affine_mean", "running_integral", "running_integral_from_end",
     "mean_value", "balancing_shift", "fixed_point_map", "residual",
     "PlanarMap", "DomainDelta", "DegreeResult", "reduction_map",
     "boundary_polygon", "winding_degree", "degree_for_problem",

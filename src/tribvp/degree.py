@@ -11,7 +11,9 @@ rules out silently skipping a half-turn between samples.
 two-parameter family of affine candidates u = x + y t turns the solvability
 question into a zero count for
 
-    g(x, y) = ( -(1/T) * int_0^T f(t, x + y t, y) dt,  y - x ).
+    g(x, y) = ( -(1/T) * int_0^T f(t, x + y t, y) dt,  y - x ),
+
+whose first component is `operators.affine_mean`, which also seeds the solver.
 
 A nonzero degree of this map on a suitable ball-and-strip domain certifies
 that the full solver has something to converge to.
@@ -27,9 +29,8 @@ import numpy as np
 
 from .errors import (EmptyDomain, NonFinite, PreconditionViolated,
                      RefinementExhausted, ZeroOnBoundary)
-from .grid import integrate
 from .homeomorphisms import Homeomorphism
-from .operators import ProblemSpec
+from .operators import ProblemSpec, affine_mean
 
 __all__ = [
     "PlanarMap", "DomainDelta", "DegreeResult", "reduction_map",
@@ -58,16 +59,12 @@ class PlanarMap:
 
 def reduction_map(spec: ProblemSpec) -> PlanarMap:
     """The planar reduction of a p1/p1t problem (see module docstring)."""
-    grid = spec.grid
-    t = grid.nodes
 
     def fn(x: float, y: float) -> tuple[float, float]:
-        with np.errstate(all="ignore"):
-            vals = np.asarray(spec.rhs.fn(t, x + y * t, y), dtype=float)
-        vals = np.broadcast_to(vals, t.shape).astype(float)
-        if not np.isfinite(vals).all():
+        mean = float(affine_mean(spec, x, y))
+        if math.isnan(mean):
             raise NonFinite(f"right-hand side not finite along u = {x:.6g} + {y:.6g} t")
-        return -integrate(grid, vals) / grid.T, y - x
+        return -mean, y - x
 
     return PlanarMap(fn)
 

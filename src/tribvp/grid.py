@@ -71,24 +71,6 @@ class GridFunction:
                    np.broadcast_to(np.asarray(du(t), dtype=float), t.shape))
 
 
-def integrate(grid: Grid, values) -> float:
-    """Integral of nodal values over [0, T].
-
-    Composite Simpson when the interval count is even, composite trapezoid
-    otherwise.  Exact through cubics on the Simpson branch.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.shape != (grid.n + 1,):
-        raise ValueError(f"expected {grid.n + 1} samples, got shape {v.shape}")
-    h = grid.h
-    if grid.n % 2 == 0:
-        w = np.ones_like(v)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return float((h / 3.0) * (w @ v))
-    return float(np.trapezoid(v, dx=h))
-
-
 def norm_sup(values) -> float:
     v = np.asarray(values, dtype=float)
     return float(np.abs(v).max())
@@ -98,7 +80,3 @@ def norm_c1(u: GridFunction) -> float:
     """sup|u| + sup|u'|."""
     return norm_sup(u.values) + norm_sup(u.derivs)
 
-
-def norm_l1(u: GridFunction) -> float:
-    """Integral of |u| over [0, T]."""
-    return integrate(u.grid, np.abs(u.values))

@@ -36,8 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisFailed, InvalidThresholds
-from .grid import integrate
-from .operators import BoundaryCondition, ProblemSpec
+from .operators import BoundaryCondition, ProblemSpec, mean_value
 
 __all__ = [
     "Verdict", "ConditionVerdict", "SamplingBox", "HypothesisData",
@@ -218,7 +217,7 @@ def compute_bounds_p1(spec: ProblemSpec, m1: float, m2: float,
 
     c_nodes = np.broadcast_to(np.asarray(c_fn(grid.nodes), dtype=float),
                               grid.nodes.shape).astype(float)
-    c_minus_l1 = integrate(grid, np.maximum(-c_nodes, 0.0))
+    c_minus_l1 = grid.T * mean_value(grid, np.maximum(-c_nodes, 0.0))
     consts = _width_constants(spec, m1, m2, c_minus_l1)
     if consts["threshold"] < spec.phi.a:
         verdicts["width"] = ConditionVerdict(

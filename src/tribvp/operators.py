@@ -14,12 +14,14 @@ superposition (Nemytskii) evaluation of f along a function.  All quadrature in
 this module is trapezoidal, and the companion integral is literally computed
 as H - H(T), so the endpoint identities the continuum operators enjoy hold
 node-for-node in floating point rather than merely up to discretization error.
-(General-purpose integration with the Simpson branch lives in `grid`.)
+`affine_mean`, the mean of f along the lines u = x + y t, is the reduced map
+both the lambda = 0 seed of the solver and the degree certificate rest on.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -31,8 +33,8 @@ from .homeomorphisms import Homeomorphism
 
 __all__ = [
     "BoundaryCondition", "RightHandSide", "ProblemSpec", "ResidualReport",
-    "nemytskii", "running_integral", "running_integral_from_end", "mean_value",
-    "left_value", "right_value", "balancing_shift", "fixed_point_map",
+    "nemytskii", "affine_mean", "running_integral", "running_integral_from_end",
+    "mean_value", "left_value", "right_value", "balancing_shift", "fixed_point_map",
     "bc_defects", "residual",
 ]
 
@@ -80,8 +82,25 @@ def nemytskii(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
     return out
 
 
-def _trapz(grid: Grid, v: np.ndarray) -> float:
-    return float((0.5 * (v[0] + v[-1]) + v[1:-1].sum()) * grid.h)
+def affine_mean(spec: ProblemSpec, x, y) -> np.ndarray:
+    """Trapezoid mean over [0, T] of f(t, x + y t, y) for x and y broadcast
+    against each other, with one call of f on the (..., n + 1) array of lines;
+    NaN where the mean is not finite."""
+    t = spec.grid.nodes
+    x = np.expand_dims(x, -1) if np.ndim(x) else x
+    y = np.expand_dims(y, -1) if np.ndim(y) else y
+    u = x + y * t
+    with np.errstate(all="ignore"):
+        vals = np.asarray(spec.rhs.fn(t, u, y), dtype=float)
+        if vals.shape != u.shape:
+            vals = np.broadcast_to(vals, u.shape)
+        mean = _trapz(spec.grid, vals) / spec.grid.T
+        return mean + 0.0 * mean  # 0 * inf is NaN; finite means pass unchanged
+
+
+def _trapz(grid: Grid, v: np.ndarray):
+    """Trapezoid integral over [0, T] along the last axis of v."""
+    return (0.5 * (v[..., 0] + v[..., -1]) + v[..., 1:-1].sum(axis=-1)) * grid.h
 
 
 def running_integral(grid: Grid, v) -> np.ndarray:
@@ -107,7 +126,7 @@ def mean_value(grid: Grid, v) -> float:
     fixed-point boundary identities depend on that cancellation.
     """
     v = np.asarray(v, dtype=float)
-    return _trapz(grid, v) / grid.T
+    return float(_trapz(grid, v) / grid.T)
 
 
 def left_value(u: GridFunction) -> float:
@@ -125,18 +144,25 @@ def _bracket_root(fn, lo: float, hi: float, f_lo: float, f_hi: float,
 
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant point
     replaces the endpoint of its sign, and an endpoint kept twice in a row has
-    its value halved.  A secant point not strictly inside the bracket is
-    replaced by the midpoint.  Stops at an exact zero or when lo and hi are
-    adjacent floats, and then returns the endpoint of smaller |value|, so the
-    result is always a point fn was evaluated at.  NaN when fn turns
-    non-finite inside the bracket.
+    its value halved.  A secant point that rounds onto an endpoint made by a
+    secant step (or by a step off one) becomes the float next to it, inside;
+    next to any other endpoint the secant is not trusted and the midpoint is
+    taken.  Stops at an exact zero or at adjacent floats, returning the
+    endpoint of smaller |value|.  NaN when fn turns non-finite inside.
     """
     kept = 0          # -1: lo kept last time, +1: hi kept last time
     true_lo, true_hi = f_lo, f_hi
+    trusted = math.nan  # the last point a secant step, or a step off one, produced
     for _ in range(max_iters):
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+        if lo < x < hi:
+            trusted = x
+        else:
+            end = lo if x <= lo else hi
+            if end == trusted:
+                x = trusted = float(np.nextafter(end, hi if end == lo else lo))
+            else:
+                x, trusted = 0.5 * (lo + hi), math.nan
             if not lo < x < hi:
                 break
         fx = float(fn(x))

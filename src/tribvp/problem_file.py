@@ -20,8 +20,7 @@ A problem file has up to three sections::
 
     [solver]
     tol = 1e-10
-    max_iters = 5000
-    lambda_steps = 5   ; homotopy stages, each solved by Anderson acceleration
+    max_iters = 5000   ; map evaluations per continuation stage
     backend = fixed-point
 
 Keys are case-sensitive, unknown sections or keys are rejected, and ';'/'#'
@@ -47,7 +46,7 @@ __all__ = ["ProblemDocument", "load_problem", "loads"]
 
 _PROBLEM_KEYS = {"T", "n", "phi", "a", "f", "bc"}
 _HYPOTHESES_KEYS = {"M1", "M2", "c_lower", "c_bound", "kappa", "rho"}
-_SOLVER_KEYS = {"tol", "max_iters", "lambda_steps", "backend"}
+_SOLVER_KEYS = {"tol", "max_iters", "backend"}
 _SECTIONS = {"problem": _PROBLEM_KEYS, "hypotheses": _HYPOTHESES_KEYS,
              "solver": _SOLVER_KEYS}
 
@@ -134,7 +133,6 @@ def loads(text: str, source_path: str | None = None) -> ProblemDocument:
         options = SolveOptions(
             tol=_float("solver", "tol", sol.get("tol", "1e-10")),
             max_iters=_int("solver", "max_iters", sol.get("max_iters", "5000")),
-            lambda_steps=_int("solver", "lambda_steps", sol.get("lambda_steps", "5")),
             backend=sol.get("backend", "fixed-point").strip())
     except ValueError as exc:
         raise ProblemFileError(f"[solver] {exc}") from exc

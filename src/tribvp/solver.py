@@ -3,10 +3,10 @@
 The primary route iterates the fixed-point maps from `operators` along a
 homotopy in lambda: the lambda = 0 member is solvable in closed form (an
 affine one-parameter family for p1/p1t, the zero function for p2), and the
-solution is continued stepwise to lambda = 1.  Each stage is solved by
-Anderson acceleration of the map (Walker & Ni, SIAM J. Numer. Anal. 49, 2011),
-with step halving toward the last accepted iterate whenever an extrapolated
-iterate leaves the map's domain.
+solution is continued to lambda = 1 in steps halved on failure.  Each stage is
+solved by Anderson acceleration of the map (Walker & Ni, SIAM J. Numer. Anal.
+49, 2011), with step halving toward the last accepted iterate whenever an
+extrapolated iterate leaves the map's domain.
 
 The oracle route never touches those maps: it rewrites the equation as the
 first-order system u' = phi^{-1}(v), v' = f(t, u, phi^{-1}(v)) and shoots with
@@ -29,8 +29,8 @@ from .errors import (BvpError, HypothesisFailed, NoConvergence, NonFinite,
                      NoRoot, PreconditionViolated, RangeViolation, StepRejected)
 from .grid import Grid, GridFunction, norm_c1
 from .operators import (BoundaryCondition, ProblemSpec, ResidualReport,
-                        _bracket_root, _trapz, bc_defects, fixed_point_map,
-                        mean_value, nemytskii, residual)
+                        _bracket_root, affine_mean, bc_defects,
+                        fixed_point_map, mean_value, nemytskii, residual)
 
 __all__ = [
     "SolveOptions", "LambdaStage", "SolveReport",
@@ -38,34 +38,32 @@ __all__ = [
     "shoot_ivp",
 ]
 
-DEFAULT_SEED_RADIUS = 2.0
+SEED_RADIUS = 2.0    # the seed scans k in [-2, 2], shooting in [-3, 3]
 BACKENDS = ("fixed-point", "shooting", "both")
 ANDERSON_DEPTH = 5   # secant pairs kept per lambda-stage
 MAX_HALVINGS = 6     # pull-backs of one out-of-domain iterate before giving up
+MIN_LAMBDA_STEP = 1.0 / 64  # smallest continuation step before giving up
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """Knobs for both routes.
 
-    seed_radius bounds the search for initial data: the scalar scan interval
-    of the lambda = 0 seed for p1/p1t, and, widened by 1, the shooting scan
-    over k for every boundary condition.  apriori_bound, when set, is
-    compared against the C^1 norm of the result to fill SolveReport.apriori_ok.
+    max_iters bounds the map evaluations of each lambda-stage.  apriori_bound,
+    when set, is compared against the C^1 norm of the result to fill
+    SolveReport.apriori_ok.
     """
 
     tol: float = 1e-10
     max_iters: int = 5000
-    lambda_steps: int = 5
     backend: str = "fixed-point"
-    seed_radius: float | None = None
     apriori_bound: float | None = None
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tol!r}")
-        if self.max_iters < 1 or self.lambda_steps < 1:
-            raise ValueError("iteration and continuation budgets must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("the iteration budget must be >= 1")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
 
@@ -114,17 +112,27 @@ def solve(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> SolveReport
 # ---------------------------------------------------------------- fixed point
 
 def solve_fixed_point(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> SolveReport:
-    u = _seed(spec, opts)
+    """Continue the lambda = 0 seed to lambda = 1, first in one stage.  A stage
+    whose iterate leaves the map's domain is retried from the last accepted
+    level with half the step, down to MIN_LAMBDA_STEP; NoConvergence is not
+    retried.  lambda_path and iterations count the accepted stages only."""
+    u = _seed(spec)
     stages: list[LambdaStage] = []
-    total = 0
-    for j in range(1, opts.lambda_steps + 1):
-        lam = j / opts.lambda_steps
-        u, stage = _converge_stage(spec, lam, u, opts)
+    lam, step = 0.0, 1.0
+    while lam < 1.0:
+        target = min(1.0, lam + step)
+        try:
+            u_next, stage = _converge_stage(spec, target, u, opts)
+        except (RangeViolation, PreconditionViolated, NonFinite):
+            if step * 0.5 < MIN_LAMBDA_STEP:
+                raise
+            step *= 0.5
+            continue
+        u, lam = u_next, target
         stages.append(stage)
-        total += stage.iterations
-    rep = residual(spec, 1.0, u)
     return SolveReport(
-        solution=u, residuals=rep, iterations=total,
+        solution=u, residuals=residual(spec, 1.0, u),
+        iterations=sum(stage.iterations for stage in stages),
         lambda_path=tuple(stages), backend="fixed-point",
         apriori_ok=_apriori_ok(u, opts),
         solution_family=_family_flag(spec, u, opts))
@@ -143,28 +151,21 @@ def _affine_direction(spec: ProblemSpec) -> np.ndarray:
     return 1.0 + t - spec.grid.T
 
 
-def _seed(spec: ProblemSpec, opts: SolveOptions) -> GridFunction:
-    """Closed-form solution of the lambda = 0 problem."""
+def _seed(spec: ProblemSpec) -> GridFunction:
+    """Solution of the lambda = 0 problem: zero for p2; for p1/p1t the affine
+    k * direction along which `affine_mean` vanishes, k scanned in one call."""
     grid = spec.grid
     if spec.bc is BoundaryCondition.P2:
         zero = np.zeros(grid.n + 1)
         return GridFunction(grid, zero, zero)
     direction = _affine_direction(spec)
-    radius = DEFAULT_SEED_RADIUS if opts.seed_radius is None else float(opts.seed_radius)
-
-    def mismatch(ks: np.ndarray) -> np.ndarray:
-        out = []
-        for k in ks:
-            u = GridFunction(grid, k * direction, np.full(grid.n + 1, k))
-            out.append(_trapz(grid, nemytskii(spec, u)))
-        return np.array(out)
-
+    r = SEED_RADIUS
     try:
-        k_root = _scan_root(mismatch, -radius, radius, 65)
+        k_root = _scan_root(lambda ks: affine_mean(spec, ks * direction[0], ks), -r, r, 65)
     except NoRoot as exc:
         raise HypothesisFailed(
             f"seeding failed: the reduced scalar equation has no sign change "
-            f"for k in [-{radius:g}, {radius:g}]") from exc
+            f"for k in [-{r:g}, {r:g}]") from exc
     return GridFunction(grid, k_root * direction, np.full(grid.n + 1, k_root))
 
 
@@ -359,7 +360,6 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     k is found by `_scan_root`, whose 64-seed scan is one batched sweep, and
     the solution is the shot already taken at that k.
     """
-    radius = DEFAULT_SEED_RADIUS if opts.seed_radius is None else float(opts.seed_radius)
     phi = spec.phi
     bc = spec.bc
     backward = bc is not BoundaryCondition.P1
@@ -376,7 +376,7 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         return matched(us, vs) - ks
 
     # _scan_root returns one of the arguments it evaluated
-    k_root = _scan_root(mismatch, -radius - 1.0, radius + 1.0, 64)
+    k_root = _scan_root(mismatch, -SEED_RADIUS - 1.0, SEED_RADIUS + 1.0, 64)
     us, vs = shots[k_root]
     u = GridFunction(spec.grid, us, phi.inverse(vs))
     rep = ResidualReport(

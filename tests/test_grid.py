@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tribvp import Grid, GridFunction, integrate, norm_c1, norm_l1, norm_sup
+from tribvp import Grid, GridFunction, norm_c1, norm_sup
 
 
 def test_grid_basics():
@@ -60,40 +60,9 @@ def test_from_callables():
     assert np.allclose(u.derivs, 2 * g.nodes)
 
 
-def test_integrate_exact_on_cubics_even_n():
-    # composite Simpson is exact through degree 3
-    g = Grid(2.0, 16)
-    vals = g.nodes**3 - 2 * g.nodes
-    assert integrate(g, vals) == pytest.approx(2.0**4 / 4 - 4.0, abs=1e-13)
-
-
-def test_integrate_odd_n_falls_back_to_trapezoid():
-    g = Grid(1.0, 9)
-    vals = np.ones(10)
-    assert integrate(g, vals) == pytest.approx(1.0, abs=1e-15)
-    # linear is still exact for trapezoid
-    assert integrate(g, g.nodes) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_integrate_convergence_rate():
-    """Simpson error should drop ~16x per mesh halving on smooth data."""
-    exact = 1.0 - np.cos(1.0)
-    errs = []
-    for n in (8, 16, 32):
-        g = Grid(1.0, n)
-        errs.append(abs(integrate(g, np.sin(g.nodes)) - exact))
-    assert errs[0] / errs[1] > 12.0
-    assert errs[1] / errs[2] > 12.0
-
-
 def test_norms():
     g = Grid(1.0, 4)
     u = GridFunction(g, np.array([0.0, -3.0, 1.0, 0.5, 2.0]),
                      np.array([1.0, 1.0, -4.0, 0.0, 0.0]))
     assert norm_sup(u.values) == 3.0
     assert norm_c1(u) == 7.0
-    rng = np.random.default_rng(11)
-    vals = rng.normal(size=33)
-    g2 = Grid(3.0, 32)
-    w = GridFunction(g2, vals, vals)
-    assert norm_l1(w) == pytest.approx(integrate(g2, np.abs(vals)))

@@ -9,7 +9,7 @@ import pytest
 
 from tribvp import (BoundaryCondition, Grid, GridFunction,
                     PreconditionViolated, ProblemSpec, RangeViolation,
-                    RightHandSide, balancing_shift, curvature,
+                    RightHandSide, affine_mean, balancing_shift, curvature,
                     fixed_point_map, mean_value, nemytskii, residual,
                     running_integral, running_integral_from_end, scaled_atan)
 from tribvp.operators import _bracket_root, _trapz, left_value, right_value
@@ -130,10 +130,58 @@ class TestBracketRoot:
         # plain bisection needs about 54 halvings of [0, 1] to get there
         assert len(calls) < 40
 
+    def test_first_secant_point_one_ulp_from_the_root(self):
+        # the first secant point of x - 0.116 on [-0.53, 0.63] is the float
+        # just below 0.116; the next secant point rounds back onto it
+        fn, calls = self.counted(lambda x: x - 0.116)
+        root = _bracket_root(fn, -0.53, 0.63, -0.53 - 0.116, 0.63 - 0.116)
+        assert calls[0] == np.nextafter(0.116, 0.0)
+        assert root == 0.116
+        # plain bisection from there needs about 56 evaluations
+        assert len(calls) <= 3
+
     def test_nan_when_fn_turns_non_finite(self):
         fn, calls = self.counted(lambda x: np.nan if x > 0.4 else x - 0.7)
         assert np.isnan(_bracket_root(fn, 0.0, 1.0, -0.7, 0.3))
         assert len(calls) == 1
+
+
+class TestAffineMean:
+    @staticmethod
+    def spec():
+        return make_spec(T=0.7, n=50,
+                         f=lambda t, u, v: np.cos(3 * t) * u + v**2 - 0.1 * u * v)
+
+    def test_batched_rows_equal_per_point_calls(self):
+        spec = self.spec()
+        x = np.linspace(-1.0, 1.0, 7)
+        y = np.linspace(0.5, -0.5, 4)[:, None]
+        batch = affine_mean(spec, x, y)
+        assert batch.shape == (4, 7)
+        for i in range(4):
+            for j in range(7):
+                assert batch[i, j] == affine_mean(spec, x[j], y[i, 0])
+        # and the scalar mean is the package's trapezoid mean along the line
+        u = GridFunction(spec.grid, 0.3 + 0.2 * spec.grid.nodes, np.full(51, 0.2))
+        assert affine_mean(spec, 0.3, 0.2) == pytest.approx(
+            mean_value(spec.grid, nemytskii(spec, u)), rel=1e-14)
+
+    def test_nan_where_f_is_not_finite_on_a_line(self):
+        # log(1 + u) is undefined once a line dips to u <= -1
+        spec = make_spec(T=1.0, n=40, f=lambda t, u, v: np.log(1.0 + u) + v)
+        x = np.array([0.0, -1.5, 0.5])
+        out = affine_mean(spec, x, 0.25)
+        assert np.isnan(out[1])
+        assert out[0] == affine_mean(spec, 0.0, 0.25)
+        assert out[2] == affine_mean(spec, 0.5, 0.25)
+        assert np.isfinite(out[[0, 2]]).all()
+
+    def test_constant_in_u_broadcasts(self):
+        # f depending on the slope alone comes back with one column per line
+        spec = make_spec(T=0.01, n=20, f=lambda t, u, v: np.exp(4 * v) - np.e)
+        out = affine_mean(spec, np.zeros(3), np.array([0.0, 0.25, 0.5]))
+        assert out[1] == 0.0
+        assert out[0] < 0.0 < out[2]
 
 
 class TestFixedPointMaps:

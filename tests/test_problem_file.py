@@ -22,7 +22,6 @@ rho = 1.2
 [solver]
 tol = 1e-9
 max_iters = 800
-lambda_steps = 4
 backend = shooting
 """
 
@@ -44,7 +43,6 @@ def test_full_document():
     assert float(np.min(env(np.array([0.0, 0.005])))) == -3.0
     assert doc.options.tol == 1e-9
     assert doc.options.max_iters == 800
-    assert doc.options.lambda_steps == 4
     assert doc.options.backend == "shooting"
 
 
@@ -86,9 +84,11 @@ def test_inline_comments_ignored():
     ("[problem]\nT = 1\nf = w + 1\nbc = p2\n", "f:"),
     ("[problem]\nT = 1\nf = 0\nbc = p2\n[solver]\nbackend = magic\n", "backend"),
     ("[problem]\nT = 1\nf = 0\nbc = p2\n[solver]\ndamping = 0\n", "damping"),
+    ("[problem]\nT = 1\nf = 0\nbc = p2\n[solver]\nlambda_steps = 5\n",
+     "unknown key 'lambda_steps' in [solver]"),
 ], ids=["empty", "no-f", "no-T", "no-bc", "bad-T", "nan-T", "frac-n",
         "bad-bc", "bad-phi", "curvature-a", "unknown-key", "unknown-section",
-        "f-syntax", "f-ident", "bad-backend", "bad-damping"])
+        "f-syntax", "f-ident", "bad-backend", "bad-damping", "bad-lambda-steps"])
 def test_rejections(text, fragment):
     with pytest.raises(ProblemFileError, match=None) as info:
         loads(text)

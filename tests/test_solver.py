@@ -1,13 +1,16 @@
 """Both solution routes, their failure modes, and the cross-check."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import tribvp.solver
 from tribvp import (BoundaryCondition, Grid, HypothesisFailed, NoConvergence,
                     ProblemSpec, RangeViolation, RightHandSide, SolveOptions,
-                    StepRejected, cross_validate, curvature, scaled_atan,
-                    shoot_ivp, solve, solve_fixed_point, solve_shooting)
+                    StepRejected, affine_mean, cross_validate, curvature,
+                    scaled_atan, shoot_ivp, solve, solve_fixed_point,
+                    solve_shooting)
 
 from test_acceptance import _admissible_template
 
@@ -34,7 +37,7 @@ def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(backend="newton")
     with pytest.raises(ValueError):
-        SolveOptions(lambda_steps=0)
+        SolveOptions(max_iters=0)
 
 
 class TestFixedPoint:
@@ -46,7 +49,7 @@ class TestFixedPoint:
         assert rep.residuals.c1 <= 1e-10
         assert max(rep.residuals.bc_defects) < 1e-12
         assert rep.backend == "fixed-point"
-        assert len(rep.lambda_path) == 5
+        assert [stage.lam for stage in rep.lambda_path] == [1.0]
 
     def test_steep_slope_p1t_exact(self):
         spec = steep(BoundaryCondition.P1T)
@@ -115,7 +118,7 @@ class TestAnderson:
         rep = solve_fixed_point(template(n), opts)
         assert rep.residuals.c1 <= opts.tol
         assert max(rep.residuals.bc_defects) <= 10 * opts.tol
-        assert len(rep.lambda_path) == opts.lambda_steps
+        assert [stage.lam for stage in rep.lambda_path] == [1.0]
         assert all(stage.iterations <= 10 for stage in rep.lambda_path)
         assert all(stage.newton_calls == 0 for stage in rep.lambda_path)
 
@@ -149,6 +152,69 @@ class TestAnderson:
         assert rep.residuals.c1 <= 1e-10
         assert np.abs(rep.solution.values - clean.solution.values).max() <= 1e-9
         assert np.abs(rep.solution.derivs - clean.solution.derivs).max() <= 1e-9
+
+
+class TestContinuation:
+    def test_range_violation_halves_the_step(self):
+        # from the seed, the stages aimed at lambda = 1 and 0.5 leave the flux
+        # range; so does a fixed first step of 0.2
+        def f(t, u, v):
+            b = 0.8903900336091478
+            return (0.42410593014275366 * (np.exp(b * v) - np.exp(b * -0.0012957882653831243))
+                    - 0.11432885905478828 / (1.2634697427323505 + u))
+        spec = ProblemSpec(Grid(0.6820029833675156, 100), curvature(),
+                           RightHandSide(fn=f), BoundaryCondition.P1T)
+        opts = SolveOptions()
+        rep = solve_fixed_point(spec, opts)
+        assert rep.residuals.c1 <= opts.tol
+        lams = [stage.lam for stage in rep.lambda_path]
+        assert lams[-1] == 1.0
+        assert all(a < b for a, b in zip(lams, lams[1:]))
+        assert lams[0] < 1.0
+        assert rep.iterations == sum(stage.iterations for stage in rep.lambda_path)
+
+    def test_halving_stops_at_the_floor(self, monkeypatch):
+        real_map = tribvp.solver.fixed_point_map
+        levels = []
+
+        def refuse_positive_levels(spec_, lam, u):
+            if lam > 0.0:
+                levels.append(lam)
+                raise RangeViolation("injected")
+            return real_map(spec_, lam, u)
+
+        monkeypatch.setattr(tribvp.solver, "fixed_point_map", refuse_positive_levels)
+        with pytest.raises(RangeViolation):
+            solve_fixed_point(template(200))
+        assert levels == [2.0 ** -j for j in range(7)]
+        assert levels[-1] == tribvp.solver.MIN_LAMBDA_STEP
+
+    def test_no_convergence_is_not_retried(self, monkeypatch):
+        real_converge = tribvp.solver._converge_stage
+        levels = []
+
+        def spy(spec_, lam, u, opts):
+            levels.append(lam)
+            return real_converge(spec_, lam, u, opts)
+
+        monkeypatch.setattr(tribvp.solver, "_converge_stage", spy)
+        with pytest.raises(NoConvergence):
+            solve_fixed_point(cosine(), SolveOptions(max_iters=3))
+        assert levels == [1.0]
+
+    def test_seed_scan_is_one_call(self):
+        spec = template(200)
+        calls = 0
+
+        def counting(t, u, v):
+            nonlocal calls
+            calls += 1
+            return spec.rhs.fn(t, u, v)
+
+        seed = tribvp.solver._seed(replace(spec, rhs=RightHandSide(fn=counting)))
+        assert calls <= 10
+        assert seed.values[0] == seed.derivs[0] == seed.derivs[-1]
+        assert abs(affine_mean(spec, seed.values[0], seed.derivs[0])) <= 1e-12
 
 
 class TestShooting:
