@@ -9,7 +9,8 @@ condition; the Brouwer degree of G on a suitable domain counts such zeros
 with orientation, and a nonzero count certifies a genuine solution.  The
 degree itself is the winding number of G around the domain boundary, which
 the package computes by accumulating signed angles along a polygon, bisecting
-any segment that turns too fast.
+any segment that turns too fast.  A planar map takes arrays of points, so
+each map below is called on all polygon vertices at once.
 """
 
 import numpy as np
@@ -47,7 +48,8 @@ print(f"  agreement on every draw: {hits}/{draws}")
 print("== the steep-slope problem's certificate ==")
 doc = load_problem(Path(__file__).parent / "problems" / "steep_slope.prob")
 gmap = reduction_map(doc.spec)
-print(f"  G(0.25, 0.25) = {gmap(0.25, 0.25)}   <- the affine solution, exactly")
+gx, gy = gmap(0.25, 0.25)
+print(f"  G(0.25, 0.25) = ({float(gx)}, {float(gy)})   <- the affine solution, exactly")
 
 # Delta = ball of radius rho intersected with the strip |phi(x)| < kappa;
 # the degree is the same on any admissible choice (excision property)

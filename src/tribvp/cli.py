@@ -24,7 +24,7 @@ from .degree import degree_for_problem
 from .errors import (BvpError, EmptyDomain, HypothesisFailed,
                      PreconditionViolated, ProblemFileError)
 from .hypotheses import SamplingBox, check_problem
-from .operators import BoundaryCondition, nemytskii
+from .operators import nemytskii
 from .problem_file import load_problem
 from .solver import solve
 
@@ -210,9 +210,6 @@ def _run_check(args) -> int:
 
 def _run_degree(args) -> int:
     doc = load_problem(args.file)
-    if doc.spec.bc is BoundaryCondition.P2:
-        raise PreconditionViolated("the plane reduction applies to the "
-                                   "slope-anchored cases only (bc = p1 or p1t)")
     result = degree_for_problem(doc.spec, rho=args.rho, kappa=args.kappa,
                                 m=args.samples)
     print(f"degree={result.degree} "

@@ -2,10 +2,10 @@
 
 The degree of a continuous map g on a bounded planar domain with g != 0 on the
 boundary equals the winding number of g around 0 along the positively oriented
-boundary.  The winding is accumulated as a sum of signed angle increments
-between consecutive boundary samples; every increment must stay below pi/2 in
-magnitude, otherwise the segment is bisected recursively.  That certificate
-rules out silently skipping a half-turn between samples.
+boundary.  The winding is a sum of signed angle steps between consecutive
+boundary samples; a step of pi/2 or more bisects its segment, so no half-turn
+between samples is skipped silently.  Planar maps take arrays of points: the
+walk maps all samples in one call, and each round's midpoints in one call.
 
 `reduction_map` collapses a p1/p1t boundary value problem to the plane: a
 two-parameter family of affine candidates u = x + y t turns the solvability
@@ -30,13 +30,10 @@ import numpy as np
 from .errors import (EmptyDomain, NonFinite, PreconditionViolated,
                      RefinementExhausted, ZeroOnBoundary)
 from .homeomorphisms import Homeomorphism
-from .operators import ProblemSpec, affine_mean
+from .operators import BoundaryCondition, ProblemSpec, affine_mean
 
-__all__ = [
-    "PlanarMap", "DomainDelta", "DegreeResult", "reduction_map",
-    "boundary_polygon", "winding_degree", "degree_for_problem",
-    "ZERO_TOL", "MAX_DEPTH",
-]
+__all__ = ["PlanarMap", "DomainDelta", "DegreeResult", "reduction_map", "boundary_polygon",
+           "winding_degree", "degree_for_problem", "ZERO_TOL", "MAX_DEPTH"]
 
 ZERO_TOL = 1e-12
 MAX_DEPTH = 20
@@ -44,27 +41,34 @@ MAX_DEPTH = 20
 
 @dataclass(frozen=True)
 class PlanarMap:
-    """A map R^2 -> R^2 evaluated point-wise."""
+    """A map R^2 -> R^2 on arrays of points: fn(xs, ys) returns (gx, gy),
+    each broadcasting to the common shape of xs and ys."""
 
-    fn: Callable[[float, float], tuple[float, float]]
+    fn: Callable[[np.ndarray, np.ndarray], tuple]
 
-    def __call__(self, x: float, y: float) -> tuple[float, float]:
-        gx, gy = self.fn(float(x), float(y))
-        gx = float(gx)
-        gy = float(gy)
-        if not (math.isfinite(gx) and math.isfinite(gy)):
-            raise NonFinite(f"planar map returned ({gx!r}, {gy!r}) at ({x:.6g}, {y:.6g})")
+    def __call__(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+        gx, gy = (np.broadcast_to(np.asarray(g, dtype=float), xs.shape) for g in self.fn(xs, ys))
+        bad = ~(np.isfinite(gx) & np.isfinite(gy))
+        if bad.any():
+            i = np.unravel_index(np.argmax(bad), xs.shape)
+            raise NonFinite(f"planar map returned ({float(gx[i])!r}, {float(gy[i])!r}) "
+                            f"at ({xs[i]:.6g}, {ys[i]:.6g})")
         return gx, gy
 
 
 def reduction_map(spec: ProblemSpec) -> PlanarMap:
     """The planar reduction of a p1/p1t problem (see module docstring)."""
+    if spec.bc is BoundaryCondition.P2:
+        raise PreconditionViolated("the plane reduction applies to the "
+                                   "slope-anchored cases only (bc = p1 or p1t)")
 
-    def fn(x: float, y: float) -> tuple[float, float]:
-        mean = float(affine_mean(spec, x, y))
-        if math.isnan(mean):
-            raise NonFinite(f"right-hand side not finite along u = {x:.6g} + {y:.6g} t")
-        return -mean, y - x
+    def fn(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mean = affine_mean(spec, xs, ys)
+        if np.isnan(mean).any():
+            i = np.unravel_index(np.argmax(np.isnan(mean)), mean.shape)
+            raise NonFinite(f"right-hand side not finite along u = {xs[i]:.6g} + {ys[i]:.6g} t")
+        return -mean, ys - xs
 
     return PlanarMap(fn)
 
@@ -170,73 +174,68 @@ class DegreeResult:
     refined: bool
 
 
-class _WalkState:
-    __slots__ = ("min_norm", "count", "refined")
-
-    def __init__(self):
-        self.min_norm = math.inf
-        self.count = 0
-        self.refined = False
-
-
-def _evaluate(gmap: PlanarMap, point, state: _WalkState) -> tuple[float, float]:
-    gx, gy = gmap(point[0], point[1])
-    norm = math.hypot(gx, gy)
-    if norm < ZERO_TOL:
-        raise ZeroOnBoundary(
-            f"|g({point[0]:.6g}, {point[1]:.6g})| = {norm:.3g} is below {ZERO_TOL:g}",
-            point=(float(point[0]), float(point[1])), norm=norm)
-    state.count += 1
-    if norm < state.min_norm:
-        state.min_norm = norm
-    return gx, gy
-
-
-def _signed_angle(g0: tuple[float, float], g1: tuple[float, float]) -> float:
-    cross = g0[0] * g1[1] - g0[1] * g1[0]
-    dot = g0[0] * g1[0] + g0[1] * g1[1]
-    return math.atan2(cross, dot)
-
-
-def _segment_angle(gmap, p0, p1, g0, g1, depth, state: _WalkState) -> float:
-    d = _signed_angle(g0, g1)
-    if abs(d) < 0.5 * math.pi:
-        return d
-    if depth >= MAX_DEPTH:
-        mid = 0.5 * (np.asarray(p0) + np.asarray(p1))
-        raise RefinementExhausted(
-            f"angle step stayed >= pi/2 after {MAX_DEPTH} bisections near "
-            f"({mid[0]:.6g}, {mid[1]:.6g}); a zero of the map most likely "
-            "touches the boundary",
-            point=(float(mid[0]), float(mid[1])))
-    state.refined = True
-    pm = 0.5 * (np.asarray(p0, dtype=float) + np.asarray(p1, dtype=float))
-    gm = _evaluate(gmap, pm, state)
-    return (_segment_angle(gmap, p0, pm, g0, gm, depth + 1, state)
-            + _segment_angle(gmap, pm, p1, gm, g1, depth + 1, state))
+def _mapped(gmap: PlanarMap, z: np.ndarray) -> tuple[np.ndarray, float]:
+    """g at the points z = x + iy as gx + i gy, from one call of gmap, and the
+    least |g| among them; raises at the first point where |g| < ZERO_TOL."""
+    gx, gy = gmap(z.real, z.imag)
+    g = gx + 1j * gy
+    norm = np.abs(g)
+    i = int(np.argmax(norm < ZERO_TOL))  # the first zero, if any
+    if norm[i] < ZERO_TOL:
+        x, y = float(z[i].real), float(z[i].imag)
+        raise ZeroOnBoundary(f"|g({x:.6g}, {y:.6g})| = {norm[i]:.3g} is below {ZERO_TOL:g}",
+                             point=(x, y), norm=float(norm[i]))
+    return g, float(norm.min())
 
 
 def winding_degree(gmap: PlanarMap, boundary) -> DegreeResult:
-    """Winding number of g along a closed positively oriented polyline."""
+    """Winding number of g along a closed positively oriented polyline.
+
+    The m = len(boundary) - 1 vertices are mapped in one call of gmap.  The
+    segments still to walk wait on a stack, the first in walk order on top.
+    Each round takes up to m of them off the top, adds the angle step of each
+    one that turns by less than pi/2 and bisects the others, mapping all their
+    midpoints in one call; the halves go back on top in walk order.
+    """
     pts = np.asarray(boundary, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
         raise ValueError("boundary must be an (N, 2) array with N >= 4")
     if not np.array_equal(pts[0], pts[-1]):
         raise ValueError("boundary polyline must be closed (first point == last)")
-    state = _WalkState()
-    g_first = _evaluate(gmap, pts[0], state)
-    total = 0.0
-    g_prev = g_first
-    for i in range(len(pts) - 1):
-        g_next = g_first if i + 1 == len(pts) - 1 else _evaluate(gmap, pts[i + 1], state)
-        total += _segment_angle(gmap, pts[i], pts[i + 1], g_prev, g_next, 0, state)
-        g_prev = g_next
-    deg = round(total / (2.0 * math.pi))
-    return DegreeResult(int(deg), state.min_norm, state.count, state.refined)
+    m = len(pts) - 1
+    z = pts[:-1, 0] + 1j * pts[:-1, 1]
+    g, min_norm = _mapped(gmap, z)
+    # one row (p0, p1, g0, g1, depth) per segment, points and values complex
+    stack = np.column_stack([z, np.roll(z, -1), g, np.roll(g, -1), np.zeros(m)])[::-1]
+    count, total = m, 0.0
+    while len(stack):
+        rows, stack = stack[-m:][::-1], stack[:-m]
+        step = np.angle(rows[:, 3] * rows[:, 2].conj())
+        turn = np.abs(step) >= 0.5 * math.pi
+        total += float(step[~turn].sum())
+        if not turn.any():
+            continue
+        p0, p1, g0, g1, depth = rows[turn].T
+        i = int(np.argmax(depth.real))  # the first one at MAX_DEPTH, if any
+        if depth[i].real >= MAX_DEPTH:
+            mid, n0, n1 = 0.5 * (p0[i] + p1[i]), float(abs(g0[i])), float(abs(g1[i]))
+            raise RefinementExhausted(
+                f"angle step stayed >= pi/2 after {MAX_DEPTH} bisections near ({mid.real:.6g}, "
+                f"{mid.imag:.6g}), with |g| = {n0:.3g} and {n1:.3g} at the ends of the segment: "
+                "the map has a zero on the boundary there, or jumps across it",
+                point=(float(mid.real), float(mid.imag)), norm=min(n0, n1))
+        mid = 0.5 * (p0 + p1)
+        gm, norm = _mapped(gmap, mid)
+        count, min_norm = count + len(mid), min(min_norm, norm)
+        halves = np.stack([np.column_stack([mid, p1, gm, g1, depth + 1]),
+                           np.column_stack([p0, mid, g0, gm, depth + 1])], axis=1)
+        stack = np.vstack([stack, halves[::-1].reshape(-1, 5)])
+    return DegreeResult(round(total / (2.0 * math.pi)), min_norm, count, count > m)
 
 
 def degree_for_problem(spec: ProblemSpec, rho: float, kappa: float,
                        m: int = 512) -> DegreeResult:
     """Degree of the planar reduction of spec on the ball-and-strip domain."""
+    gmap = reduction_map(spec)
     delta = DomainDelta(rho, kappa, spec.phi)
-    return winding_degree(reduction_map(spec), boundary_polygon(delta, m))
+    return winding_degree(gmap, boundary_polygon(delta, m))

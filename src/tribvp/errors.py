@@ -51,13 +51,16 @@ class ZeroOnBoundary(BvpError):
 class RefinementExhausted(BvpError):
     """Adaptive boundary refinement hit its depth limit.
 
-    The winding-angle step refused to fall below pi/2, which almost always
-    means a zero of the map sits on or next to the boundary curve.
+    The winding-angle step on a boundary segment refused to fall below pi/2:
+    the map has a zero there, or jumps across it.  `norm` is the smaller |g|
+    at the ends of that segment.
     """
 
-    def __init__(self, message: str, *, point: tuple[float, float] | None = None):
+    def __init__(self, message: str, *, point: tuple[float, float] | None = None,
+                 norm: float | None = None):
         super().__init__(message)
         self.point = point
+        self.norm = norm
 
 
 class NoConvergence(BvpError):

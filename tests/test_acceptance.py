@@ -219,7 +219,7 @@ def test_criterion_5_degree_axioms():
             dx = 0.49 * margin * math.cos(angle)
             dy = 0.49 * margin * math.sin(angle)
             shifted = PlanarMap(lambda x, y, dx=dx, dy=dy:
-                                tuple(np.add(base(x, y), (dx, dy))))
+                                tuple(np.add(base(x, y), ((dx,), (dy,)))))
             assert winding_degree(shifted, poly).degree == -1
         print(f"  200 linear maps ok, excision ok, margin={margin:.4f}, "
               f"20 perturbations ok")

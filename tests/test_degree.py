@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,12 @@ import pytest
 from tribvp import (BoundaryCondition, DomainDelta, EmptyDomain, Grid,
                     NonFinite, PlanarMap, ProblemSpec, RefinementExhausted,
                     RightHandSide, ZeroOnBoundary, boundary_polygon, curvature,
-                    degree_for_problem, reduction_map, winding_degree)
+                    degree_for_problem, load_problem, reduction_map,
+                    winding_degree)
+from tribvp.degree import MAX_DEPTH
 from tribvp.errors import PreconditionViolated
+
+BOUNDED = Path(__file__).parent.parent / "demos" / "problems" / "bounded_forcing.prob"
 
 
 def circle_domain():
@@ -123,10 +128,24 @@ def test_zero_found_by_refinement():
 def test_refinement_exhausted_on_jump():
     """A discontinuous flip across a line through the boundary can never be
     certified; the walk must give up rather than guess."""
-    flip = PlanarMap(lambda x, y: (1.0, 0.0) if x + math.sqrt(2) * y > 0.3
-                     else (-1.0, 0.0))
-    with pytest.raises(RefinementExhausted):
+    flip = PlanarMap(lambda x, y: (np.where(x + math.sqrt(2) * y > 0.3, 1.0, -1.0),
+                                   0.0))
+    with pytest.raises(RefinementExhausted) as info:
         winding_degree(flip, boundary_polygon(circle_domain(), 512))
+    assert info.value.norm == 1.0
+
+
+def test_refinement_exhausted_at_a_pole_reports_its_norm():
+    # f = 1/(v - 0.25) has a pole on the line y = 0.25, which crosses the
+    # boundary: |g| grows on both sides of it instead of vanishing, and the
+    # error says so rather than blaming a zero
+    rhs = RightHandSide(fn=lambda t, u, v: 1.0 / (v - 0.25) + 0 * t)
+    spec = ProblemSpec(Grid(0.5, 400), curvature(), rhs, BoundaryCondition.P1)
+    with pytest.raises(RefinementExhausted) as info:
+        degree_for_problem(spec, rho=1.2, kappa=0.9)
+    assert info.value.norm > 1e3
+    assert info.value.point[1] == pytest.approx(0.25, abs=1e-6)
+    assert "jumps across it" in str(info.value)
 
 
 def test_near_zero_off_boundary_still_certifies():
@@ -152,6 +171,115 @@ def test_nonfinite_map_rejected():
         gm(0.0, 0.0)
 
 
+def test_map_broadcasts_and_names_first_nonfinite_point():
+    gm = PlanarMap(lambda x, y: (np.where(x > 0.5, np.inf, 1.0), 0.0))
+    gx, gy = gm(np.array([0.0, 0.25]), 0.5)
+    assert gx.shape == gy.shape == (2,)
+    assert np.array_equal(gy, [0.0, 0.0])
+    with pytest.raises(NonFinite, match=r"at \(1, 0.5\)"):
+        gm(np.array([0.0, 1.0, 2.0]), 0.5)
+
+
+def power_map(k, shift=0.0):
+    """z -> z^k + shift by repeated multiplication, the same floats in any batch."""
+    def fn(x, y):
+        gx, gy = x, y
+        for _ in range(k - 1):
+            gx, gy = gx * x - gy * y, gx * y + gy * x
+        return gx + shift, gy
+    return PlanarMap(fn)
+
+
+def reference_walk(gmap, pts):
+    """The point-by-point recursive walk that the batched one replaced:
+    (degree, least |g|, samples, refined)."""
+    norms = []
+
+    def g_at(p):
+        gx, gy = (float(v) for v in gmap(p[0], p[1]))
+        norms.append(math.hypot(gx, gy))
+        return gx, gy
+
+    def angle(p0, p1, g0, g1, depth):
+        d = math.atan2(g0[0] * g1[1] - g0[1] * g1[0], g0[0] * g1[0] + g0[1] * g1[1])
+        if abs(d) < 0.5 * math.pi:
+            return d
+        assert depth < MAX_DEPTH
+        pm = 0.5 * (p0 + p1)
+        gm = g_at(pm)
+        return angle(p0, pm, g0, gm, depth + 1) + angle(pm, p1, gm, g1, depth + 1)
+
+    g = [g_at(p) for p in pts[:-1]]
+    g.append(g[0])
+    total = sum(angle(pts[i], pts[i + 1], g[i], g[i + 1], 0) for i in range(len(pts) - 1))
+    return round(total / (2.0 * math.pi)), min(norms), len(norms), len(norms) > len(pts) - 1
+
+
+def steep_map():
+    rhs = RightHandSide(fn=lambda t, u, v: np.exp(4 * v) - np.e)
+    return reduction_map(ProblemSpec(Grid(0.01, 400), curvature(), rhs, BoundaryCondition.P1))
+
+
+class CountedMap:
+    """A planar map that records how many points each call receives."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.sizes = []
+
+    def __call__(self, x, y):
+        self.sizes.append(np.size(x))
+        return self.fn(x, y)
+
+
+def test_vertices_mapped_in_one_call():
+    counted = CountedMap(lambda x, y: (x, y))
+    res = winding_degree(PlanarMap(counted), boundary_polygon(circle_domain(), 512))
+    assert res.degree == 1 and not res.refined
+    assert counted.sizes == [512]
+
+
+def test_bisections_batched():
+    counted = CountedMap(power_map(20, 0.3))
+    res = winding_degree(PlanarMap(counted), boundary_polygon(circle_domain(), 64))
+    assert (res.degree, res.samples_used, res.refined) == (20, 120, True)
+    assert counted.sizes == [64, 56]
+
+
+@pytest.mark.parametrize("gmap,delta,m", [
+    (power_map(20, 0.3), circle_domain(), 64),
+    (power_map(40), circle_domain(), 64),
+    (power_map(97), circle_domain(), 128),
+    (PlanarMap(lambda x, y: (x - y + 1e-11, y - x + 1e-11)), circle_domain(), 500),
+    (steep_map(), DomainDelta(1.2, 0.9, curvature()), 512),
+    (steep_map(), DomainDelta(0.5, 0.5, curvature()), 256),
+], ids=["z20+0.3", "z40", "z97", "near-zero", "steep", "steep-walls"])
+def test_matches_pointwise_reference_walk(gmap, delta, m):
+    poly = boundary_polygon(delta, m)
+    degree, least, samples, refined = reference_walk(gmap, poly)
+    res = winding_degree(gmap, poly)
+    assert (res.degree, res.samples_used, res.refined) == (degree, samples, refined)
+    # np.abs of a complex value and math.hypot may differ in the last bit
+    assert res.min_boundary_norm == pytest.approx(least, rel=1e-15, abs=0.0)
+
+
+def test_exhaustion_stays_within_batch_and_call_budget():
+    # a pseudo-random quarter turn at every point: no segment ever settles,
+    # so the walk bisects down to MAX_DEPTH and gives up
+    def quarter(x, y):
+        h = np.sin(x * 12.9898 + y * 78.233) * 43758.5453
+        k = np.floor(4.0 * (h - np.floor(h)))
+        return np.cos(0.5 * np.pi * k), np.sin(0.5 * np.pi * k)
+
+    poly = boundary_polygon(circle_domain(), 512)
+    counted = CountedMap(quarter)
+    with pytest.raises(RefinementExhausted) as info:
+        winding_degree(PlanarMap(counted), poly)
+    assert info.value.norm == pytest.approx(1.0)
+    assert max(counted.sizes) <= len(poly) - 1
+    assert len(counted.sizes) <= 2 * (MAX_DEPTH + 1)
+
+
 def test_reduction_map_of_flagship_problem():
     g = Grid(0.01, 400)
     rhs = RightHandSide(fn=lambda t, u, v: np.exp(4 * v) - np.e)
@@ -171,6 +299,12 @@ def test_degree_zero_when_rhs_is_constant_one():
                        BoundaryCondition.P1)
     res = degree_for_problem(spec, rho=1.0, kappa=0.9, m=256)
     assert res.degree == 0  # first component is identically -1: no zero
+
+
+def test_p2_has_no_plane_reduction():
+    spec = load_problem(BOUNDED).spec
+    with pytest.raises(PreconditionViolated, match="bc = p1 or p1t"):
+        degree_for_problem(spec, rho=1.0, kappa=0.3)
 
 
 def test_boundary_through_known_zero_raises():
