@@ -2,7 +2,9 @@
 
 For p1/p1t problems the existence question reduces to a map of the plane:
 
-    G(x, y) = ( -(1/T) * integral of f(t, x + y t, y),  y - x )
+    G(x, y) = ( -(1/T) * integral of f(t, x + y (t - t_e), y),  y - x )
+
+with t_e = 0 for p1 and t_e = T for p1t, the end where u and u' are tied.
 
 A zero of G is an affine candidate satisfying the boundary tie and the mean
 condition; the Brouwer degree of G on a suitable domain counts such zeros

@@ -128,11 +128,9 @@ def _run_solve(args) -> int:
     if args.require_hypotheses:
         report = check_problem(doc.spec, doc.hypothesis_data)
         if not report.passed:
-            for name, verdict in report.verdicts.items():
-                if not verdict.ok:
-                    print(f"hypotheses: {name}: {verdict.detail}",
-                          file=sys.stderr)
-            return 3
+            raise HypothesisFailed("hypotheses failed: " + "; ".join(
+                f"{name}: {verdict.detail}"
+                for name, verdict in report.verdicts.items() if not verdict.ok))
         bound = report.rho_min if report.rho_min is not None else report.solution_bound
         if bound is not None and opts.apriori_bound is None:
             opts = replace(opts, apriori_bound=bound)

@@ -8,12 +8,15 @@ between samples is skipped silently.  Planar maps take arrays of points: the
 walk maps all samples in one call, and each round's midpoints in one call.
 
 `reduction_map` collapses a p1/p1t boundary value problem to the plane: a
-two-parameter family of affine candidates u = x + y t turns the solvability
-question into a zero count for
+two-parameter family of affine candidates u = x + y (t - t_e), with t_e = 0
+for p1 and t_e = T for p1t (the node `BoundaryCondition.end` where u and u'
+are tied), turns the solvability question into a zero count for
 
-    g(x, y) = ( -(1/T) * int_0^T f(t, x + y t, y) dt,  y - x ),
+    g(x, y) = ( -(1/T) * int_0^T f(t, x + y (t - t_e), y) dt,  y - x ),
 
 whose first component is `operators.affine_mean`, which also seeds the solver.
+Its zeros on the diagonal x = y = k are the lambda = 0 solutions
+u = k (1 + t - t_e) the solver continues from.
 
 A nonzero degree of this map on a suitable ball-and-strip domain certifies
 that the full solver has something to converge to.
@@ -67,7 +70,8 @@ def reduction_map(spec: ProblemSpec) -> PlanarMap:
         mean = affine_mean(spec, xs, ys)
         if np.isnan(mean).any():
             i = np.unravel_index(np.argmax(np.isnan(mean)), mean.shape)
-            raise NonFinite(f"right-hand side not finite along u = {xs[i]:.6g} + {ys[i]:.6g} t")
+            raise NonFinite(f"right-hand side not finite along u = {xs[i]:.6g} + "
+                            f"{ys[i]:.6g} (t - {float(spec.grid.nodes[spec.bc.end]):g})")
         return -mean, ys - xs
 
     return PlanarMap(fn)

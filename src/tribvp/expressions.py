@@ -232,33 +232,9 @@ def parse(src: str) -> Node:
 # ----------------------------------------------------------------- evaluator
 
 def evaluate(node: Node, t, u, v):
-    """Tree-walking evaluation; accepts scalars or numpy arrays."""
-    env = {"t": t, "u": u, "v": v}
-    return _eval(node, env)
-
-
-def _eval(node: Node, env: dict):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Unary):
-        return -_eval(node.operand, env)
-    if isinstance(node, Call):
-        return FUNCTIONS[node.func](_eval(node.arg, env))
-    if isinstance(node, Binary):
-        lhs = _eval(node.left, env)
-        rhs = _eval(node.right, env)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if node.op == "/":
-            return lhs / rhs
-        return np.power(lhs, rhs)
-    raise TypeError(f"not an expression node: {node!r}")
+    """Value of the tree at (t, u, v), scalars or numpy arrays, through the
+    same compiled function as `as_callable`."""
+    return as_callable(node)(t, u, v)
 
 
 def as_callable(node: Node) -> Callable:

@@ -203,12 +203,14 @@ def compute_bounds_p1(spec: ProblemSpec, m1: float, m2: float,
                         box.y_span + max(0.0, m2), seed_shift=3)
     c_at = np.broadcast_to(np.asarray(c_fn(t), dtype=float), t.shape).astype(float)
     verdicts: dict[str, ConditionVerdict] = {}
-    bad = f < c_at
+    bad = ~(f >= c_at)  # a NaN in f or c(t) fails too
     if bad.any():
         j = int(np.argmax(bad))
+        finite = np.isfinite(f[j]) and np.isfinite(c_at[j])
         verdicts["envelope"] = ConditionVerdict(
             Verdict.FAIL,
-            f"f = {f[j]:.6g} dips below c = {c_at[j]:.6g}",
+            f"f = {f[j]:.6g} dips below c = {c_at[j]:.6g}" if finite else
+            f"f or c(t) not finite: f = {f[j]:.6g}, c = {c_at[j]:.6g}",
             box.samples, (float(t[j]), float(x[j]), float(y[j])))
     else:
         verdicts["envelope"] = ConditionVerdict(

@@ -9,13 +9,15 @@ equivalent fixed-point formulation for each boundary condition handled here:
 
 The solution maps are assembled from a handful of primitives on sampled
 functions: the running integral from the left endpoint, its companion anchored
-at the right endpoint, the mean over [0, T], the endpoint evaluations, and the
-superposition (Nemytskii) evaluation of f along a function.  All quadrature in
-this module is trapezoidal, and the companion integral is literally computed
-as H - H(T), so the endpoint identities the continuum operators enjoy hold
+at the right endpoint, the mean over [0, T], and the superposition (Nemytskii)
+evaluation of f along a function.  All quadrature in this module is
+trapezoidal, and an integral anchored at a node is literally computed as
+H - H(t_e), so the endpoint identities the continuum operators enjoy hold
 node-for-node in floating point rather than merely up to discretization error.
-`affine_mean`, the mean of f along the lines u = x + y t, is the reduced map
-both the lambda = 0 seed of the solver and the degree certificate rest on.
+`BoundaryCondition.end` names the node t_e where a condition ties u and u'.
+`affine_mean`, the mean of f along the lines u = x + y (t - t_e), is the
+reduced map both the lambda = 0 seed of the solver and the degree certificate
+rest on.
 """
 
 from __future__ import annotations
@@ -34,12 +36,17 @@ from .homeomorphisms import Homeomorphism
 __all__ = [
     "BoundaryCondition", "RightHandSide", "ProblemSpec", "ResidualReport",
     "nemytskii", "affine_mean", "running_integral", "running_integral_from_end",
-    "mean_value", "left_value", "right_value", "balancing_shift", "fixed_point_map",
+    "mean_value", "balancing_shift", "fixed_point_map",
     "bc_defects", "residual",
 ]
 
 
 class BoundaryCondition(enum.Enum):
+    """The three-point conditions of the module docstring.  `end` is the node
+    index where u and u' are both tied: 0 for p1, -1 for p1t and p2.  The
+    third tied quantity sits at the other node, -1 - end: u' for p1 and p1t,
+    u for p2."""
+
     P1 = "p1"
     P1T = "p1t"
     P2 = "p2"
@@ -50,6 +57,10 @@ class BoundaryCondition(enum.Enum):
             if member.value == text:
                 return member
         raise ValueError(f"unknown boundary condition {text!r} (choices: p1, p1t, p2)")
+
+    @property
+    def end(self) -> int:
+        return 0 if self is BoundaryCondition.P1 else -1
 
 
 @dataclass(frozen=True)
@@ -83,13 +94,13 @@ def nemytskii(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
 
 
 def affine_mean(spec: ProblemSpec, x, y) -> np.ndarray:
-    """Trapezoid mean over [0, T] of f(t, x + y t, y) for x and y broadcast
-    against each other, with one call of f on the (..., n + 1) array of lines;
-    NaN where the mean is not finite."""
+    """Trapezoid mean over [0, T] of f(t, x + y (t - t_e), y), t_e the node
+    `spec.bc.end`, for x and y broadcast against each other, with one call of
+    f on the (..., n + 1) array of lines; NaN where the mean is not finite."""
     t = spec.grid.nodes
     x = np.expand_dims(x, -1) if np.ndim(x) else x
     y = np.expand_dims(y, -1) if np.ndim(y) else y
-    u = x + y * t
+    u = x + y * (t - t[spec.bc.end])
     with np.errstate(all="ignore"):
         vals = np.asarray(spec.rhs.fn(t, u, y), dtype=float)
         if vals.shape != u.shape:
@@ -127,14 +138,6 @@ def mean_value(grid: Grid, v) -> float:
     """
     v = np.asarray(v, dtype=float)
     return float(_trapz(grid, v) / grid.T)
-
-
-def left_value(u: GridFunction) -> float:
-    return float(u.values[0])
-
-
-def right_value(u: GridFunction) -> float:
-    return float(u.values[-1])
 
 
 def _bracket_root(fn, lo: float, hi: float, f_lo: float, f_hi: float,
@@ -226,17 +229,17 @@ def fixed_point_map(spec: ProblemSpec, lam: float, u: GridFunction) -> GridFunct
         raise ValueError(f"homotopy level must lie in [0, 1], got {lam!r}")
     if spec.bc is BoundaryCondition.P2:
         return _map_p2(spec, lam, u)
-    return _map_anchored(spec, lam, u, at_left=spec.bc is BoundaryCondition.P1)
+    return _map_anchored(spec, lam, u)
 
 
-def _map_anchored(spec: ProblemSpec, lam: float, u: GridFunction,
-                  at_left: bool) -> GridFunction:
-    # p1:  v = u(0) + mean(Nf) + H(phi^{-1}[lam H(Nf - mean) + phi(u(0))])
-    # p1t: same skeleton anchored at u(T), with the tail integral outside.
+def _map_anchored(spec: ProblemSpec, lam: float, u: GridFunction) -> GridFunction:
+    # v = u(t_e) + mean(Nf) + H(s) - H(s)(t_e), t_e the node spec.bc.end,
+    # where s = phi^{-1}[lam H(Nf - mean) + phi(u(t_e))] is the slope of v.
     grid = spec.grid
+    end = spec.bc.end
     nf = nemytskii(spec, u)
     mean = mean_value(grid, nf)
-    anchor = left_value(u) if at_left else right_value(u)
+    anchor = float(u.values[end])
     w = lam * running_integral(grid, nf - mean) + spec.phi.forward(anchor)
     worst = float(np.abs(w).max())
     if not worst < spec.phi.a:
@@ -245,10 +248,8 @@ def _map_anchored(spec: ProblemSpec, lam: float, u: GridFunction,
             f"{worst:.6g} >= a = {spec.phi.a:.6g} (a priori bound violated)",
             worst=worst, bound=spec.phi.a)
     slope = spec.phi.inverse(w)
-    if at_left:
-        vals = anchor + mean + running_integral(grid, slope)
-    else:
-        vals = anchor + mean + running_integral_from_end(grid, slope)
+    acc = running_integral(grid, slope)
+    vals = anchor + mean + (acc - acc[end])
     return GridFunction(grid, vals, slope)
 
 

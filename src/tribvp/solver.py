@@ -144,29 +144,30 @@ def _apriori_ok(u: GridFunction, opts: SolveOptions) -> bool | None:
     return bool(norm_c1(u) < opts.apriori_bound)
 
 
-def _affine_direction(spec: ProblemSpec) -> np.ndarray:
+def _affine(spec: ProblemSpec, k: float) -> GridFunction:
+    """k (1 + t - t_e), t_e the node spec.bc.end: the p1/p1t line with
+    u(t_e) = u' = k."""
     t = spec.grid.nodes
-    if spec.bc is BoundaryCondition.P1:
-        return 1.0 + t
-    return 1.0 + t - spec.grid.T
+    return GridFunction(spec.grid, k * (1.0 + t - t[spec.bc.end]),
+                        np.full(spec.grid.n + 1, k))
 
 
 def _seed(spec: ProblemSpec) -> GridFunction:
-    """Solution of the lambda = 0 problem: zero for p2; for p1/p1t the affine
-    k * direction along which `affine_mean` vanishes, k scanned in one call."""
+    """Solution of the lambda = 0 problem: zero for p2; for p1/p1t the line
+    `_affine(spec, k)` along which `affine_mean` vanishes, k scanned in one
+    call."""
     grid = spec.grid
     if spec.bc is BoundaryCondition.P2:
         zero = np.zeros(grid.n + 1)
         return GridFunction(grid, zero, zero)
-    direction = _affine_direction(spec)
     r = SEED_RADIUS
     try:
-        k_root = _scan_root(lambda ks: affine_mean(spec, ks * direction[0], ks), -r, r, 65)
+        k_root = _scan_root(lambda ks: affine_mean(spec, ks, ks), -r, r, 65)
     except NoRoot as exc:
         raise HypothesisFailed(
             f"seeding failed: the reduced scalar equation has no sign change "
             f"for k in [-{r:g}, {r:g}]") from exc
-    return GridFunction(grid, k_root * direction, np.full(grid.n + 1, k_root))
+    return _affine(spec, k_root)
 
 
 def _pack(u: GridFunction) -> np.ndarray:
@@ -235,11 +236,9 @@ def _family_flag(spec: ProblemSpec, u: GridFunction, opts: SolveOptions) -> bool
     the residual stays flat along the affine seed direction."""
     if spec.bc is BoundaryCondition.P2:
         return False
-    direction = _affine_direction(spec)
-    delta = 1e-2
+    step = _affine(spec, 1e-2)
     try:
-        pert = GridFunction(spec.grid, u.values + delta * direction,
-                            u.derivs + delta)
+        pert = GridFunction(spec.grid, u.values + step.values, u.derivs + step.derivs)
         r = residual(spec, 1.0, pert).c1
     except BvpError:
         return False
@@ -362,13 +361,14 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     """
     phi = spec.phi
     bc = spec.bc
-    backward = bc is not BoundaryCondition.P1
+    backward = bc.end == -1
+    other = -1 - bc.end
     shots: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def matched(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         if bc is BoundaryCondition.P2:
-            return us[..., 0]
-        return phi.inv_fn(vs[..., 0] if backward else vs[..., -1])
+            return us[..., other]
+        return phi.inv_fn(vs[..., other])
 
     def mismatch(ks: np.ndarray) -> np.ndarray:
         us, vs = shoot_ivp(spec, ks, ks, backward=backward)

@@ -140,6 +140,14 @@ class TestCheck:
         assert main(["check", path]) == 1
         assert "fail" in capsys.readouterr().out
 
+    def test_nan_inside_envelope_box_exit_1(self, tmp_path, capsys):
+        # f is NaN for |v| < 0.5, which the envelope samples reach
+        path = write(tmp_path,
+                     "[problem]\nT = 0.01\nf = atan(v) + 0*sqrt(v*v - 0.25)\n"
+                     "bc = p1\n[hypotheses]\nM1 = -1\nM2 = 1\nc_lower = -2\n")
+        assert main(["check", path]) == 1
+        assert "envelope: fail - f or c(t) not finite: f = nan" in capsys.readouterr().out
+
     def test_misordered_thresholds_exit_4(self, tmp_path, capsys):
         path = write(tmp_path, MISORDERED)
         assert main(["check", path]) == 4
@@ -168,6 +176,14 @@ class TestDegree:
         out = capsys.readouterr().out
         assert out.startswith("degree=-1 ")
         assert "min_boundary_norm=" in out and "samples=" in out
+
+    def test_p1t_problem_certifies(self, tmp_path, capsys):
+        # the p1t degree is taken along u = x + y (t - T); along p1's lines
+        # u = x + y t this map has no zero and the degree would read 0
+        path = write(tmp_path, "[problem]\nT = 1\nn = 400\nphi = curvature\n"
+                     "f = v - 0.6666666666666666*u + 0.1\nbc = p1t\n")
+        assert main(["degree", path, "--rho", "3", "--kappa", "0.9"]) == 0
+        assert capsys.readouterr().out.startswith("degree=-1 ")
 
     def test_zero_degree_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "[problem]\nT = 1\nf = 1\nbc = p1\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +8,18 @@ import pytest
 from tribvp import (BoundaryCondition, DomainDelta, EmptyDomain, Grid,
                     NonFinite, PlanarMap, ProblemSpec, RefinementExhausted,
                     RightHandSide, ZeroOnBoundary, boundary_polygon, curvature,
-                    degree_for_problem, load_problem, reduction_map,
+                    degree_for_problem, load_problem, loads, reduction_map,
                     winding_degree)
 from tribvp.degree import MAX_DEPTH
 from tribvp.errors import PreconditionViolated
+from tribvp.solver import _seed
 
-BOUNDED = Path(__file__).parent.parent / "demos" / "problems" / "bounded_forcing.prob"
+PROBLEMS = Path(__file__).parent.parent / "demos" / "problems"
+BOUNDED = PROBLEMS / "bounded_forcing.prob"
+STEEP = PROBLEMS / "steep_slope.prob"
+# a p1t problem whose lambda = 0 line k (1 + t - T) differs from p1's k (1 + t)
+LINEAR_P1T = ("[problem]\nT = 1\nn = 400\nphi = curvature\n"
+              "f = v - 0.6666666666666666*u + 0.1\nbc = p1t\n")
 
 
 def circle_domain():
@@ -313,3 +320,24 @@ def test_boundary_through_known_zero_raises():
     spec = ProblemSpec(g, curvature(), rhs, BoundaryCondition.P1)
     with pytest.raises(ZeroOnBoundary):
         degree_for_problem(spec, rho=math.hypot(0.25, 0.25), kappa=0.9, m=512)
+
+
+def test_p1t_degree_is_taken_on_the_p1t_family():
+    # along u = x + y (t - 1) the map is (2x/3 - 4y/3 - 0.1, y - x), with
+    # Jacobian determinant -2/3 and its zero at the seed x = y = -0.15; along
+    # p1's lines u = x + y t it would be (2(x - y)/3 - 0.1, y - x), which
+    # has no zero at all
+    spec = loads(LINEAR_P1T).spec
+    res = degree_for_problem(spec, rho=3.0, kappa=0.9)
+    assert res.degree == -1
+
+
+@pytest.mark.parametrize("spec", [
+    load_problem(STEEP).spec,
+    replace(load_problem(STEEP).spec, bc=BoundaryCondition.P1T),
+    loads(LINEAR_P1T).spec,
+], ids=["steep-p1", "steep-p1t", "linear-p1t"])
+def test_seed_is_a_zero_of_the_reduction_map(spec):
+    k = float(_seed(spec).derivs[0])
+    gx, gy = reduction_map(spec)(k, k)
+    assert math.hypot(float(gx), float(gy)) <= 1e-15

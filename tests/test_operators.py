@@ -12,7 +12,7 @@ from tribvp import (BoundaryCondition, Grid, GridFunction,
                     RightHandSide, affine_mean, balancing_shift, curvature,
                     fixed_point_map, mean_value, nemytskii, residual,
                     running_integral, running_integral_from_end, scaled_atan)
-from tribvp.operators import _bracket_root, _trapz, left_value, right_value
+from tribvp.operators import _bracket_root, _trapz
 
 
 def make_spec(T=1.0, n=100, f=lambda t, u, v: 0 * t, bc=BoundaryCondition.P1,
@@ -43,13 +43,6 @@ def test_running_integral_from_end_vanishes_at_T():
 def test_mean_value_constant():
     g = Grid(3.0, 30)
     assert mean_value(g, 7.0 * np.ones(31)) == pytest.approx(7.0, abs=1e-14)
-
-
-def test_left_right_values():
-    g = Grid(1.0, 4)
-    u = GridFunction(g, np.array([2.0, 0, 0, 0, 5.0]), np.zeros(5))
-    assert left_value(u) == 2.0
-    assert right_value(u) == 5.0
 
 
 def test_nemytskii_evaluates_along_function():
