@@ -18,16 +18,16 @@ report = check_problem(doc.spec, doc.hypothesis_data)
 for name, verdict in report.verdicts.items():
     print(f"  {name:18s} {verdict.status.value:12s} {verdict.detail}")
 
-# the certified chain: |phi(u')| <= 2cT = 0.8, so |u'| <= phi^{-1}(0.8) = 4/3
-# and ||u||_C1 <= L(2+T) = 4
-L = 4.0 / 3.0
+# the certified chain: |phi(u')| <= 2cT = 0.8, so |u'| <= r = phi^{-1}(0.8) = 4/3
+# and ||u||_C1 <= r(2+T) = 4
+r, bound = report.r, report.solution_bound
 print("== solve, both backends ==")
 both = cross_validate(doc.spec, doc.options)
 u = both.solution
 print(f"  residual              : {both.residuals.c1:.3e}")
 print(f"  backend disagreement  : {both.backend_agreement:.3e}")
-print(f"  sup |u'| = {norm_sup(u.derivs):.6f}   (cap {L:.6f})")
-print(f"  ||u||_C1 = {norm_c1(u):.6f}   (cap {L * 3.0:.6f})")
+print(f"  sup |u'| = {norm_sup(u.derivs):.6f}   (cap {r:.6f})")
+print(f"  ||u||_C1 = {norm_c1(u):.6f}   (cap {bound:.6f})")
 print(f"  u(0) - u(T)  = {u.values[0] - u.values[-1]:+.3e}")
 print(f"  u'(T) - u(T) = {u.derivs[-1] - u.values[-1]:+.3e}")
 

@@ -131,9 +131,6 @@ def _run_solve(args) -> int:
             raise HypothesisFailed("hypotheses failed: " + "; ".join(
                 f"{name}: {verdict.detail}"
                 for name, verdict in report.verdicts.items() if not verdict.ok))
-        bound = report.rho_min if report.rho_min is not None else report.solution_bound
-        if bound is not None and opts.apriori_bound is None:
-            opts = replace(opts, apriori_bound=bound)
 
     try:
         result = solve(doc.spec, opts)
@@ -176,10 +173,6 @@ def _csv_table(spec, u) -> str:
 
 # -------------------------------------------------------------------- check
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def _run_check(args) -> int:
     doc = load_problem(args.file)
     box = SamplingBox(seed=args.seed)
@@ -197,10 +190,10 @@ def _run_check(args) -> int:
                          ("solution_bound", report.solution_bound),
                          ("rho_min", report.rho_min)):
         if value is not None:
-            print(f"{label}={_fmt(value)}")
+            print(f"{label}={value:.10g}")
     if report.kappa_range is not None:
         lo, hi = report.kappa_range
-        print(f"kappa_range=({_fmt(lo)}, {_fmt(hi)})")
+        print(f"kappa_range=({lo:.10g}, {hi:.10g})")
     return 0 if report.passed else 1
 
 

@@ -15,11 +15,10 @@ class RangeViolation(BvpError):
     """
 
     def __init__(self, message: str, *, worst: float | None = None,
-                 node: int | None = None, bound: float | None = None):
+                 node: int | None = None):
         super().__init__(message)
         self.worst = worst
         self.node = node
-        self.bound = bound
 
 
 class NonFinite(BvpError):
@@ -100,11 +99,9 @@ class ProblemFileError(BvpError):
 class ExpressionSyntaxError(BvpError):
     """Malformed expression text; carries the byte offset of the failure."""
 
-    def __init__(self, message: str, position: int,
-                 expected: tuple[str, ...] = ()):
+    def __init__(self, message: str, position: int):
         super().__init__(f"{message} (offset {position})")
         self.position = position
-        self.expected = expected
 
 
 class UnknownIdentifier(ExpressionSyntaxError):

@@ -115,10 +115,13 @@ def _tokenize(src: str) -> list[_Token]:
                     j = k
             text = src[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ExpressionSyntaxError(
                     f"malformed number {text!r}", position=i) from None
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError(
+                    f"number {text!r} is not finite", position=i)
             out.append(_Token("num", text, i))
             i = j
             continue
@@ -156,7 +159,7 @@ class _Parser:
             self.advance()
             return
         raise ExpressionSyntaxError(
-            f"expected {op!r}", position=self.cur.pos, expected=op)
+            f"expected {op!r}", position=self.cur.pos)
 
     def parse(self) -> Node:
         node = self.expr()
@@ -269,8 +272,10 @@ def _emit(node: Node) -> str:
         fn = "np.arctan" if node.func == "atan" else f"np.{node.func}"
         return f"{fn}({_emit(node.arg)})"
     if isinstance(node, Binary):
-        if node.op == "^":
-            return f"np.power({_emit(node.left)}, {_emit(node.right)})"
+        # numpy gives inf or nan where python floats raise, as on 1/0
+        if node.op in "^/":
+            fn = "np.power" if node.op == "^" else "np.divide"
+            return f"{fn}({_emit(node.left)}, {_emit(node.right)})"
         return f"({_emit(node.left)} {node.op} {_emit(node.right)})"
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -45,7 +45,7 @@ class Homeomorphism:
                 raise RangeViolation(
                     f"{val!r} is outside the open range (-{self.a}, {self.a}) "
                     f"of {self.name}; a priori bound violated",
-                    worst=val, bound=self.a)
+                    worst=val)
             out = self.inv_fn(arr)
             return float(out)
         bad = ~(np.abs(arr) < self.a)
@@ -55,7 +55,7 @@ class Homeomorphism:
             raise RangeViolation(
                 f"value {val!r} at node {node} is outside the open range "
                 f"(-{self.a}, {self.a}) of {self.name}; a priori bound violated",
-                worst=val, node=node, bound=self.a)
+                worst=val, node=node)
         return self.inv_fn(arr)
 
 

@@ -12,15 +12,12 @@ For the slope-anchored conditions (p1/p1t) the checked hypothesis set is
                strict sign for y <= M1 (a pointwise sufficient version of the
                mean-value condition the solver's seeding relies on);
   * envelope:  f(t, x, y) >= c(t) for a supplied lower envelope c;
-  * width:     L + 2 * ||c^-||_1 < a, where L = max(|phi(M2)|, |phi(M1)|).
+  * width:     L + 2 * ||c^-||_1 < a, with L the flux cap at the thresholds.
 
-On success the checker also reports the slope bound r (flux inverse of the
-width threshold), the solution-norm bound r * (2 + T), and the admissible
-(kappa, rho) ranges for degree domains.
+For p2 the hypothesis is a global bound |f| <= c with c < a / (2 T).
 
-For p2 the hypothesis is a global bound |f| <= c with c < a / (2 T); then
-slopes obey |phi(u')| <= 2 c T and the solution norm is bounded by
-L * (2 + T) with L = phi^{-1}(2 c T).
+Either case bounds the flux of a solution, |phi(u')| <= l < a, and with it
+the slope by r and the solution norm by r * (2 + T); see `HypothesisReport`.
 
 Sampled conditions probe f at points i = 1..N of the R_3 Kronecker sequence
 (shift + i * (g^-1, g^-2, g^-3)) mod 1, g the real root of x^4 = x + 1, mapped
@@ -87,6 +84,21 @@ class HypothesisData:
 
 @dataclass(frozen=True)
 class HypothesisReport:
+    """The verdicts, by condition name in the order checked, and the a priori
+    constants; a constant is None where the case has none or its check fails.
+
+    m1, m2          the slope thresholds M1 < M2 (p1/p1t)
+    c_minus_l1      ||c^-||_1, trapezoid norm of the envelope's negative part
+    L               the flux cap max(|phi(M1)|, |phi(M2)|) (p1/p1t)
+    c_bound         the bound c on |f|: asserted, else the sampled max (p2)
+    r               the slope bound phi^{-1}(l) of the flux bound l < a, where
+                    l = L + 2 ||c^-||_1 (p1/p1t) or l = 2 c T (p2)
+    rho_min         r (2 + T), the bound on ||u||_C1 and so the least
+                    degree-domain rho (p1/p1t)
+    kappa_range     (l, a), the admissible degree-domain kappa (p1/p1t)
+    solution_bound  r (2 + T), the bound on ||u||_C1 (p2)
+    """
+
     bc_case: BoundaryCondition
     verdicts: dict[str, ConditionVerdict] = field(default_factory=dict)
     m1: float | None = None
@@ -173,19 +185,14 @@ def check_sign_condition(spec: ProblemSpec, m1: float, m2: float,
         total)
 
 
-def _width_constants(spec: ProblemSpec, m1: float, m2: float,
-                     c_minus_l1: float) -> dict:
+def _apriori_bound(spec: ProblemSpec, ell: float) -> tuple[float | None, float | None]:
+    """A flux bound |phi(u')| <= ell gives the slope bound r = phi^{-1}(ell)
+    and the solution bound ||u||_C1 <= r (2 + T); (None, None) unless ell < a."""
     phi = spec.phi
-    L = max(abs(phi.forward(m2)), abs(phi.forward(m1)))
-    threshold = L + 2.0 * c_minus_l1
-    out = {"L": L, "threshold": threshold, "r": None, "rho_min": None,
-           "kappa_range": None}
-    if threshold < phi.a:
-        r = max(abs(phi.inverse(threshold)), abs(phi.inverse(-threshold)))
-        out["r"] = r
-        out["rho_min"] = r * (2.0 + spec.grid.T)
-        out["kappa_range"] = (threshold, phi.a)
-    return out
+    if not ell < phi.a:
+        return None, None
+    r = max(abs(phi.inverse(ell)), abs(phi.inverse(-ell)))
+    return r, r * (2.0 + spec.grid.T)
 
 
 def compute_bounds_p1(spec: ProblemSpec, m1: float, m2: float,
@@ -220,20 +227,22 @@ def compute_bounds_p1(spec: ProblemSpec, m1: float, m2: float,
     c_nodes = np.broadcast_to(np.asarray(c_fn(grid.nodes), dtype=float),
                               grid.nodes.shape).astype(float)
     c_minus_l1 = grid.T * mean_value(grid, np.maximum(-c_nodes, 0.0))
-    consts = _width_constants(spec, m1, m2, c_minus_l1)
-    if consts["threshold"] < spec.phi.a:
+    phi = spec.phi
+    L = max(abs(phi.forward(m2)), abs(phi.forward(m1)))
+    ell = L + 2.0 * c_minus_l1
+    r, rho_min = _apriori_bound(spec, ell)
+    if r is not None:
         verdicts["width"] = ConditionVerdict(
-            Verdict.PASS,
-            f"L + 2||c-||_1 = {consts['threshold']:.10g} < a = {spec.phi.a:.10g}")
+            Verdict.PASS, f"L + 2||c-||_1 = {ell:.10g} < a = {phi.a:.10g}")
     else:
         verdicts["width"] = ConditionVerdict(
             Verdict.FAIL,
-            f"L + 2||c-||_1 = {consts['threshold']:.10g} >= a = {spec.phi.a:.10g}; "
+            f"L + 2||c-||_1 = {ell:.10g} >= a = {phi.a:.10g}; "
             "no admissible slope bound exists")
     return HypothesisReport(
         bc_case=spec.bc, verdicts=verdicts, m1=m1, m2=m2,
-        c_minus_l1=c_minus_l1, L=consts["L"], r=consts["r"],
-        rho_min=consts["rho_min"], kappa_range=consts["kappa_range"])
+        c_minus_l1=c_minus_l1, L=L, r=r, rho_min=rho_min,
+        kappa_range=None if r is None else (ell, phi.a))
 
 
 def check_bound_p2(spec: ProblemSpec, c_bound: float | None = None,
@@ -245,8 +254,7 @@ def check_bound_p2(spec: ProblemSpec, c_bound: float | None = None,
     max of |f| over the box stands in for c and everything is sampled-only.
     """
     grid = spec.grid
-    phi = spec.phi
-    limit = phi.a / (2.0 * grid.T)
+    limit = spec.phi.a / (2.0 * grid.T)
     t, x, y, f = _probe(spec, box, -box.y_span, box.y_span, seed_shift=4)
     finite = np.isfinite(f)
     verdicts: dict[str, ConditionVerdict] = {}
@@ -260,12 +268,10 @@ def check_bound_p2(spec: ProblemSpec, c_bound: float | None = None,
 
     if c_bound is not None:
         c_eff = float(c_bound)
-        if c_eff < limit:
-            verdicts["bound"] = ConditionVerdict(
-                Verdict.PASS, f"{c_eff:.10g} < {limit:.10g}")
-        else:
-            verdicts["bound"] = ConditionVerdict(
-                Verdict.FAIL, f"{c_eff:.10g} >= {limit:.10g}")
+        ok = c_eff < limit
+        verdicts["bound"] = ConditionVerdict(
+            Verdict.PASS if ok else Verdict.FAIL,
+            f"{c_eff:.10g} {'<' if ok else '>='} {limit:.10g}")
         if emp_max > c_eff:
             j = int(np.argmax(np.abs(f)))
             verdicts["bound_consistency"] = ConditionVerdict(
@@ -285,14 +291,9 @@ def check_bound_p2(spec: ProblemSpec, c_bound: float | None = None,
             f"max sampled |f| = {c_eff:.10g} vs limit {limit:.10g}",
             box.samples)
 
-    L = None
-    solution_bound = None
-    if c_eff < limit:
-        cap = 2.0 * c_eff * grid.T
-        L = max(abs(phi.inverse(cap)), abs(phi.inverse(-cap)))
-        solution_bound = L * (2.0 + grid.T)
+    r, solution_bound = _apriori_bound(spec, 2.0 * c_eff * grid.T)
     return HypothesisReport(
-        bc_case=spec.bc, verdicts=verdicts, c_bound=c_eff, L=L,
+        bc_case=spec.bc, verdicts=verdicts, c_bound=c_eff, r=r,
         solution_bound=solution_bound)
 
 

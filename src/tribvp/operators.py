@@ -29,7 +29,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import NonFinite, PreconditionViolated, RangeViolation
+from .errors import NonFinite, PreconditionViolated
 from .grid import Grid, GridFunction
 from .homeomorphisms import Homeomorphism
 
@@ -88,8 +88,8 @@ def nemytskii(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
     if not finite.all():
         node = int(np.argmin(finite))
         raise NonFinite(
-            f"right-hand side returned {out[node]!r} at t={t[node]:.6g} (node {node})",
-            node=node)
+            f"right-hand side returned {float(out[node])} at t={t[node]:.6g} "
+            f"(node {node})", node=node)
     return out
 
 
@@ -241,13 +241,7 @@ def _map_anchored(spec: ProblemSpec, lam: float, u: GridFunction) -> GridFunctio
     mean = mean_value(grid, nf)
     anchor = float(u.values[end])
     w = lam * running_integral(grid, nf - mean) + spec.phi.forward(anchor)
-    worst = float(np.abs(w).max())
-    if not worst < spec.phi.a:
-        raise RangeViolation(
-            f"iterate left the admissible set: sup of the flux argument is "
-            f"{worst:.6g} >= a = {spec.phi.a:.6g} (a priori bound violated)",
-            worst=worst, bound=spec.phi.a)
-    slope = spec.phi.inverse(w)
+    slope = spec.phi.inverse(w)  # RangeViolation names the first node off (-a, a)
     acc = running_integral(grid, slope)
     vals = anchor + mean + (acc - acc[end])
     return GridFunction(grid, vals, slope)
@@ -273,13 +267,10 @@ class ResidualReport:
                  output (the fixed-point defect)
     bc_defects   absolute pairwise gaps of the three quantities tied together
                  by the boundary condition
-    mean         |mean of f along u|; at a fixed point of the p1/p1t maps this
-                 vanishes with the defect
     """
 
     c1: float
     bc_defects: tuple[float, float, float]
-    mean: float
 
 
 def bc_defects(bc: BoundaryCondition, u: GridFunction) -> tuple[float, float, float]:
@@ -297,5 +288,4 @@ def bc_defects(bc: BoundaryCondition, u: GridFunction) -> tuple[float, float, fl
 def residual(spec: ProblemSpec, lam: float, u: GridFunction) -> ResidualReport:
     v = fixed_point_map(spec, lam, u)
     c1 = float(np.abs(u.values - v.values).max() + np.abs(u.derivs - v.derivs).max())
-    mean = abs(mean_value(spec.grid, nemytskii(spec, u)))
-    return ResidualReport(c1, bc_defects(spec.bc, u), mean)
+    return ResidualReport(c1, bc_defects(spec.bc, u))

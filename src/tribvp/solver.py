@@ -27,10 +27,10 @@ import numpy as np
 
 from .errors import (BvpError, HypothesisFailed, NoConvergence, NonFinite,
                      NoRoot, PreconditionViolated, RangeViolation, StepRejected)
-from .grid import Grid, GridFunction, norm_c1
+from .grid import Grid, GridFunction
 from .operators import (BoundaryCondition, ProblemSpec, ResidualReport,
                         _bracket_root, affine_mean, bc_defects,
-                        fixed_point_map, mean_value, nemytskii, residual)
+                        fixed_point_map, residual)
 
 __all__ = [
     "SolveOptions", "LambdaStage", "SolveReport",
@@ -47,17 +47,12 @@ MIN_LAMBDA_STEP = 1.0 / 64  # smallest continuation step before giving up
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for both routes.
-
-    max_iters bounds the map evaluations of each lambda-stage.  apriori_bound,
-    when set, is compared against the C^1 norm of the result to fill
-    SolveReport.apriori_ok.
-    """
+    """Knobs for both routes.  max_iters bounds the map evaluations of each
+    lambda-stage."""
 
     tol: float = 1e-10
     max_iters: int = 5000
     backend: str = "fixed-point"
-    apriori_bound: float | None = None
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -95,7 +90,6 @@ class SolveReport:
     iterations: int
     lambda_path: tuple[LambdaStage, ...]
     backend: str
-    apriori_ok: bool | None = None
     solution_family: bool = False
     backend_agreement: float | None = None
     disagreement_flagged: bool = False
@@ -130,18 +124,13 @@ def solve_fixed_point(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) ->
             continue
         u, lam = u_next, target
         stages.append(stage)
+    # the lambda = 1 stage's last defect is that of u: it mapped u last
     return SolveReport(
-        solution=u, residuals=residual(spec, 1.0, u),
+        solution=u,
+        residuals=ResidualReport(stages[-1].residual, bc_defects(spec.bc, u)),
         iterations=sum(stage.iterations for stage in stages),
         lambda_path=tuple(stages), backend="fixed-point",
-        apriori_ok=_apriori_ok(u, opts),
         solution_family=_family_flag(spec, u, opts))
-
-
-def _apriori_ok(u: GridFunction, opts: SolveOptions) -> bool | None:
-    if opts.apriori_bound is None:
-        return None
-    return bool(norm_c1(u) < opts.apriori_bound)
 
 
 def _affine(spec: ProblemSpec, k: float) -> GridFunction:
@@ -379,14 +368,10 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     k_root = _scan_root(mismatch, -SEED_RADIUS - 1.0, SEED_RADIUS + 1.0, 64)
     us, vs = shots[k_root]
     u = GridFunction(spec.grid, us, phi.inverse(vs))
-    rep = ResidualReport(
-        c1=abs(float(matched(us, vs)) - k_root),
-        bc_defects=bc_defects(bc, u),
-        mean=abs(mean_value(spec.grid, nemytskii(spec, u))))
+    rep = ResidualReport(abs(float(matched(us, vs)) - k_root), bc_defects(bc, u))
     return SolveReport(
         solution=u, residuals=rep, iterations=len(shots),
         lambda_path=(), backend="shooting",
-        apriori_ok=_apriori_ok(u, opts),
         solution_family=_family_flag(spec, u, opts))
 
 

@@ -84,6 +84,27 @@ class TestSolve:
         assert "status=fail" in captured.out
         assert "right-hand side" in captured.err
 
+    def test_constant_division_by_zero_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "[problem]\nT = 1\nf = u + 1/(2-2)\nbc = p2\n")
+        assert main(["solve", path]) == 2
+        assert "right-hand side returned inf at t=" in capsys.readouterr().err
+
+    def test_overflowing_literal_exit_4(self, tmp_path, capsys):
+        path = write(tmp_path, "[problem]\nT = 1\nf = 1e999*u\nbc = p2\n")
+        assert main(["solve", path]) == 4
+        assert "'1e999' is not finite" in capsys.readouterr().err
+
+    def test_backends_that_pick_different_solutions_warn(self, tmp_path,
+                                                         capsys):
+        # f vanishes on the lines of slope 0.5 and -2.5: the fixed point
+        # seeds on the first, shooting's wider scan meets the second first
+        path = write(tmp_path, "[problem]\nT = 0.1\nn = 100\n"
+                     "f = (v + 2.5)*(v - 0.5)\nbc = p1\n")
+        assert main(["solve", path, "--backend", "both"]) == 0
+        captured = capsys.readouterr()
+        assert "warning: backends disagree by 3.3" in captured.err
+        assert captured.out.splitlines()[-1].startswith("status=ok")
+
     def test_require_hypotheses_blocks_bad_bound(self, tmp_path, capsys):
         path = write(tmp_path,
                      "[problem]\nT = 1\nf = 0.6 * cos(u)\nbc = p2\n"
@@ -127,6 +148,9 @@ class TestCheck:
         assert "bound: pass" in out
         assert "0.4 < 0.5" in out
         assert "solution_bound=" in out
+        lines = out.splitlines()
+        assert "r=1.333333333" in lines
+        assert not any(line.startswith("L=") for line in lines)
 
     def test_missing_data_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "[problem]\nT = 1\nf = v\nbc = p1\n")
@@ -147,6 +171,16 @@ class TestCheck:
                      "bc = p1\n[hypotheses]\nM1 = -1\nM2 = 1\nc_lower = -2\n")
         assert main(["check", path]) == 1
         assert "envelope: fail - f or c(t) not finite: f = nan" in capsys.readouterr().out
+
+    def test_constant_division_by_zero_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, "[problem]\nT = 1\nf = u + 1/(2-2)\nbc = p2\n")
+        assert main(["check", path]) == 1
+        assert "bound: fail - f not finite" in capsys.readouterr().out
+
+    def test_overflowing_literal_exit_4(self, tmp_path, capsys):
+        path = write(tmp_path, "[problem]\nT = 1\nf = 1e999*u\nbc = p2\n")
+        assert main(["check", path]) == 4
+        assert "'1e999' is not finite" in capsys.readouterr().err
 
     def test_misordered_thresholds_exit_4(self, tmp_path, capsys):
         path = write(tmp_path, MISORDERED)

@@ -108,6 +108,21 @@ def test_syntax_errors_carry_offsets():
     assert info.value.position == 2
 
 
+def test_literal_that_overflows_is_rejected():
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse("u + 1e999*u")
+    assert info.value.position == 4
+    assert "not finite" in str(info.value)
+    assert parse("1e308") == Num(1e308)
+
+
+def test_division_of_constants_by_zero_is_inf():
+    fn = as_callable(parse("u + 1/(2-2)"))
+    with np.errstate(all="ignore"):
+        assert fn(0.0, 1.0, 0.0) == math.inf
+        assert np.isnan(as_callable(parse("0/0"))(0.0, 0.0, 0.0))
+
+
 def test_unknown_identifiers():
     with pytest.raises(UnknownIdentifier):
         parse("x + 1")
@@ -166,3 +181,19 @@ def test_roundtrip_from_source_strings():
     for src in srcs:
         tree = parse(src)
         assert parse(to_source(tree)) == tree
+
+
+def test_1000_random_trees_compile_and_evaluate():
+    # the trees of the round-trip test; f must hand back inf or nan where
+    # its arithmetic fails, never raise
+    rng = np.random.default_rng(2026)
+    t = np.linspace(0.0, 1.0, 5)
+    u = np.linspace(-2.0, 2.0, 5)
+    v = np.linspace(1.5, -1.5, 5)
+    for i in range(1000):
+        fn = as_callable(_random_tree(rng, 5))
+        with np.errstate(all="ignore"):
+            out = np.broadcast_to(fn(t, u, v), t.shape)
+            scalar = fn(0.5, 0.0, 0.0)
+        assert out.dtype == float, f"case {i}"
+        assert isinstance(scalar, float), f"case {i}"

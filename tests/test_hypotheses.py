@@ -5,7 +5,7 @@ import pytest
 
 from tribvp import (BoundaryCondition, Grid, HypothesisData, HypothesisFailed,
                     InvalidThresholds, ProblemSpec, RightHandSide, SamplingBox,
-                    Verdict, check_problem, curvature)
+                    Verdict, check_problem, curvature, scaled_atan)
 from tribvp.hypotheses import (_probe, check_bound_p2, check_sign_condition,
                                compute_bounds_p1)
 
@@ -131,7 +131,8 @@ class TestBoundP2:
         v = rep.verdicts["bound"]
         assert v.status is Verdict.PASS  # arithmetic comparison, certified
         assert "0.4 < 0.5" in v.detail
-        assert rep.L == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert rep.r == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert rep.L is None  # the flux cap belongs to p1/p1t only
         assert rep.solution_bound == pytest.approx(4.0, abs=1e-12)
         assert rep.verdicts["bound_consistency"].status is Verdict.SAMPLED_ONLY
 
@@ -146,6 +147,19 @@ class TestBoundP2:
         assert rep.verdicts["bound"].status is Verdict.PASS
         assert rep.verdicts["bound_consistency"].status is Verdict.FAIL
         assert not rep.passed
+
+    def test_bound_at_the_rounding_edge_has_no_slope_bound(self):
+        # c < a/(2T) holds in floats, yet 2cT rounds up to a: there is no
+        # admissible slope bound, and the checker says so instead of raising
+        a, T = 3.0, 0.1
+        c = float(np.nextafter(a / (2.0 * T), 0.0))
+        assert c < a / (2.0 * T) and 2.0 * c * T >= a
+        spec = ProblemSpec(Grid(T, 50), scaled_atan(a),
+                           RightHandSide(fn=lambda t, u, v: 0.0 * t),
+                           BoundaryCondition.P2)
+        rep = check_bound_p2(spec, c, BOX)
+        assert rep.verdicts["bound"].status is Verdict.PASS
+        assert rep.r is None and rep.solution_bound is None
 
     def test_without_assertion_everything_is_sampled(self):
         rep = check_bound_p2(cosine_spec(0.4), None, BOX)

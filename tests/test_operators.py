@@ -7,7 +7,7 @@ scipy.optimize.brentq root find at tolerance ~1e-15 and frozen.
 import numpy as np
 import pytest
 
-from tribvp import (BoundaryCondition, Grid, GridFunction,
+from tribvp import (BoundaryCondition, Grid, GridFunction, NonFinite,
                     PreconditionViolated, ProblemSpec, RangeViolation,
                     RightHandSide, affine_mean, balancing_shift, curvature,
                     fixed_point_map, mean_value, nemytskii, residual,
@@ -59,6 +59,15 @@ def test_nemytskii_scalar_rhs_broadcasts():
     out = nemytskii(spec, u)
     assert out.shape == (9,)
     assert np.all(out == 1.25)
+
+
+def test_nemytskii_names_the_first_non_finite_node():
+    spec = make_spec(f=lambda t, u, v: np.where(t > 0.5, np.nan, 0 * t), n=8)
+    u = GridFunction(spec.grid, np.zeros(9), np.zeros(9))
+    with pytest.raises(NonFinite) as info:
+        nemytskii(spec, u)
+    assert "returned nan at t=0.625 (node 5)" in str(info.value)
+    assert info.value.node == 5
 
 
 class TestBalancingShift:
@@ -244,8 +253,12 @@ class TestFixedPointMaps:
                          f=lambda t, u, v: 10.0 * np.sin(2 * np.pi * t))
         g = spec.grid
         u = GridFunction(g, np.zeros(33), np.zeros(33))
-        with pytest.raises(RangeViolation):
+        with pytest.raises(RangeViolation) as info:
             fixed_point_map(spec, 1.0, u)
+        # the flux argument is the running integral of f (mean 0, phi(0) = 0)
+        nf = spec.rhs.fn(g.nodes, 0, 0)
+        w = running_integral(g, nf - mean_value(g, nf))
+        assert info.value.node == int(np.argmax(np.abs(w) >= 1.0))
 
     def test_lambda_out_of_range(self):
         spec = make_spec(n=8)
@@ -263,7 +276,6 @@ def test_residual_reports_zero_at_fixed_point():
     rep = residual(spec, 1.0, u)
     assert rep.c1 < 1e-15
     assert max(rep.bc_defects) < 1e-15
-    assert rep.mean < 1e-15
 
 
 def test_residual_positive_off_solution():

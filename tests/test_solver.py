@@ -65,14 +65,6 @@ class TestFixedPoint:
         assert abs(u.values[0] - u.values[-1]) < 1e-9
         assert abs(u.values[-1] - u.derivs[-1]) < 1e-9
 
-    def test_apriori_flag(self):
-        rep = solve_fixed_point(cosine(), SolveOptions(apriori_bound=4.0))
-        assert rep.apriori_ok is True
-        rep2 = solve_fixed_point(cosine(), SolveOptions(apriori_bound=1e-3))
-        assert rep2.apriori_ok is False
-        rep3 = solve_fixed_point(cosine())
-        assert rep3.apriori_ok is None
-
     def test_deterministic(self):
         a = solve_fixed_point(cosine())
         b = solve_fixed_point(cosine())

@@ -2,8 +2,10 @@
 src/ must fail here rather than silently break `perfbench/run.py --trace 1`."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).parent.parent
@@ -11,7 +13,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracing  # noqa: E402
 
-from tribvp import degree, load_problem  # noqa: E402
+from tribvp import degree, load_problem, solver  # noqa: E402
 
 
 @pytest.mark.parametrize("owner,attr", [(owner, attr) for owner, attr, _, _
@@ -33,3 +35,25 @@ def test_traced_degree_matches_untraced():
     assert tracer.counters["expressions.f.calls_array"] >= 1
     # every wrapper is taken off again
     assert "__wrapped__" not in vars(degree.PlanarMap.__call__)
+
+
+def test_traced_solves_match_untraced():
+    # the tracer reads report fields (newton_calls, disagreement_flagged,
+    # backend_agreement): dropping one of them fails here
+    doc = load_problem(ROOT / "demos" / "problems" / "steep_slope.prob")
+    plain = [solver.solve_fixed_point(doc.spec, doc.options),
+             solver.cross_validate(doc.spec, doc.options)]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        spec = tracer.traced_spec(doc.spec)
+        traced = [solver.solve_fixed_point(spec, doc.options),
+                  solver.cross_validate(spec, doc.options)]
+    for got, want in zip(traced, plain):
+        assert np.array_equal(got.solution.values, want.solution.values)
+        assert np.array_equal(got.solution.derivs, want.solution.derivs)
+        assert replace(got, solution=None) == replace(want, solution=None)
+    assert tracer.calls["solver.solve_fixed_point"] == 2
+    assert tracer.calls["solver.cross_validate"] == 1
+    assert tracer.counters["solver.picard_iters"] == 2 * plain[0].iterations
+    assert tracer.agreement_max == plain[1].backend_agreement
+    assert not hasattr(solver.solve_fixed_point, "__wrapped__")
