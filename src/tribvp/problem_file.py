@@ -14,7 +14,7 @@ A problem file has up to three sections::
     M1 = -1.0          ; slope thresholds for the sign condition (p1/p1t)
     M2 = 1.0
     c_lower = -3       ; lower envelope c(t), an expression in t alone
-    c_bound = 0.4      ; asserted global bound on |f| (p2)
+    c_bound = 0.4      ; asserted global bound on |f| (p2), not negative
     kappa = 0.9        ; degree-domain parameters to validate
     rho = 1.2
 
@@ -119,6 +119,10 @@ def loads(text: str, source_path: str | None = None) -> ProblemDocument:
         raise ProblemFileError(
             f"[hypotheses] M1 must be below M2, got M1={m1!r} M2={m2!r}")
     c_bound = _opt_float(hyp, "hypotheses", "c_bound")
+    if c_bound is not None and c_bound < 0.0:
+        raise ProblemFileError(
+            f"[hypotheses] c_bound bounds |f|, so it cannot be negative, "
+            f"got {c_bound!r}")
     kappa = _opt_float(hyp, "hypotheses", "kappa")
     rho = _opt_float(hyp, "hypotheses", "rho")
     c_lower = None

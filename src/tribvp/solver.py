@@ -13,8 +13,9 @@ first-order system u' = phi^{-1}(v), v' = f(t, u, phi^{-1}(v)) and shoots with
 a fixed-step classical Runge-Kutta integrator.  Each boundary condition ties
 three boundary quantities to one shared value k, so every case is a scalar
 equation in k: a batched sweep over a scan of k finds a sign change, and
-Illinois regula falsi refines it.  Agreement between the two routes is the
-package's main self-check.
+a few more batched sweeps, each placing its shots geometrically around an
+interpolated root estimate, narrow it to adjacent floats.  Agreement between
+the two routes is the package's main self-check.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 SEED_RADIUS = 2.0    # the seed scans k in [-2, 2], shooting in [-3, 3]
+SWEEP_SHOTS = 64     # shots per shooting sweep, the scan's and each refining one
 BACKENDS = ("fixed-point", "shooting", "both")
 ANDERSON_DEPTH = 5   # secant pairs kept per lambda-stage
 MAX_HALVINGS = 6     # pull-backs of one out-of-domain iterate before giving up
@@ -77,6 +79,10 @@ class LambdaStage:
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of a solve.
+
+    `iterations` counts the fixed-point map evaluations of the accepted
+    stages for the fixed-point backend, and the sweeps (calls of `shoot_ivp`)
+    for the shooting backend; `cross_validate` reports the sum.
 
     For the fixed-point backend `residuals.c1` is the fixed-point defect and
     is <= tol on success.  For the shooting backend it is the boundary
@@ -151,7 +157,8 @@ def _seed(spec: ProblemSpec) -> GridFunction:
         return GridFunction(grid, zero, zero)
     r = SEED_RADIUS
     try:
-        k_root = _scan_root(lambda ks: affine_mean(spec, ks, ks), -r, r, 65)
+        k_root = _scan_root(lambda ks: affine_mean(spec, ks, ks), -r, r, 65,
+                            _refine_serial)
     except NoRoot as exc:
         raise HypothesisFailed(
             f"seeding failed: the reduced scalar equation has no sign change "
@@ -236,12 +243,14 @@ def _family_flag(spec: ProblemSpec, u: GridFunction, opts: SolveOptions) -> bool
 
 # ---------------------------------------------------------------- root scans
 
-def _scan_root(fn, lo: float, hi: float, seeds: int) -> float:
-    """Sign-change scan followed by `_bracket_root` on the first bracket.
+def _scan_root(fn, lo: float, hi: float, seeds: int, refine) -> float:
+    """Sign-change scan followed by `refine` on the first bracket.
 
     fn maps an array of arguments to an array of values in one call; a NaN
-    value marks an argument fn could not evaluate, and a bracket whose
-    refinement meets one is skipped for the next.  If the scan finds no sign
+    value marks an argument fn could not evaluate.  refine(fn, ks, vals, i)
+    narrows the bracket [ks[i], ks[i + 1]] of the sorted evaluated arguments
+    ks and returns an argument it evaluated, or NaN when it meets a value it
+    cannot use; the next bracket is tried then.  If the scan finds no sign
     change but some value is numerically zero, that argument is returned
     (covers flat one-parameter families).  The result is always an argument
     fn was evaluated at.
@@ -251,16 +260,11 @@ def _scan_root(fn, lo: float, hi: float, seeds: int) -> float:
     valid = np.isfinite(vals)
     if not valid.any():
         raise NoRoot("every seed of the scan failed to evaluate")
-
-    def scalar(k: float) -> float:
-        return float(fn(np.array([k]))[0])
-
     starts = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
     for i in np.flatnonzero(starts):
         if vals[i] == 0.0:
             return float(ks[i])
-        root = _bracket_root(scalar, float(ks[i]), float(ks[i + 1]),
-                             float(vals[i]), float(vals[i + 1]))
+        root = refine(fn, ks, vals, int(i))
         if math.isfinite(root):
             return root
     magnitude = np.abs(vals)
@@ -270,6 +274,73 @@ def _scan_root(fn, lo: float, hi: float, seeds: int) -> float:
     raise NoRoot(
         f"no sign change among {int(valid.sum())} valid seeds in [{lo:g}, {hi:g}] "
         f"(smallest |value| {magnitude[best]:.3g})")
+
+
+def _refine_serial(fn, ks: np.ndarray, vals: np.ndarray, i: int) -> float:
+    """`_bracket_root` on [ks[i], ks[i + 1]], one argument per call of fn:
+    the refiner for an fn whose cost grows with the number of arguments."""
+    def scalar(k: float) -> float:
+        return float(fn(np.array([k]))[0])
+
+    return _bracket_root(scalar, float(ks[i]), float(ks[i + 1]),
+                         float(vals[i]), float(vals[i + 1]))
+
+
+def _refine_batched(fn, ks: np.ndarray, vals: np.ndarray, i: int) -> float:
+    """Narrow [ks[i], ks[i + 1]] by whole calls of fn: the refiner for an fn
+    that costs about as much for SWEEP_SHOTS arguments as for one.
+
+    Each call of fn takes an estimate x of the root and points spaced
+    geometrically on both sides of it, from one ulp of x out to half the
+    bracket, so the bracket at least halves while a good estimate pins the
+    root within a few ulps.  The new bracket is the first adjacent pair of
+    finite values of opposite signs inside the old one; a sign change across
+    a NaN is never used.  Stops at an exact zero, or at adjacent floats with
+    the end of smaller |value|; NaN when no usable pair is left.
+    """
+    per_side = (SWEEP_SHOTS - 1) // 2
+    while True:
+        lo, hi = float(ks[i]), float(ks[i + 1])
+        if np.nextafter(lo, hi) == hi:
+            return lo if abs(vals[i]) <= abs(vals[i + 1]) else hi
+        near = slice(max(i - 1, 0), i + 3)  # the bracket and one neighbour each side
+        x = _root_estimate(ks[near], vals[near], lo, hi, vals[i], vals[i + 1])
+        reach = np.geomspace(np.spacing(abs(x)), 0.5 * (hi - lo), per_side)
+        pts = np.concatenate([x - reach[::-1], [x], x + reach])
+        pts = np.unique(pts[(pts > lo) & (pts < hi)])
+        pvals = np.asarray(fn(pts), dtype=float)
+        zero = np.flatnonzero(pvals == 0.0)
+        if zero.size:
+            return float(pts[zero[0]])
+        first = near.start
+        ks = np.concatenate([ks[first:i + 1], pts, ks[i + 1:i + 3]])
+        vals = np.concatenate([vals[first:i + 1], pvals, vals[i + 1:i + 3]])
+        finite = np.isfinite(vals)
+        pairs = finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] < 0.0)
+        inside = i - first  # the old lo; the old hi sits pts.size + 1 later
+        found = np.flatnonzero(pairs[inside:inside + pts.size + 1])
+        if not found.size:
+            return math.nan
+        i = inside + int(found[0])
+
+
+def _root_estimate(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float,
+                   f_lo: float, f_hi: float) -> float:
+    """Inverse interpolation: the value at y = 0 of the polynomial x(y)
+    through the finite points (xs, ys), cubic for four points.  Falls back to
+    the secant point of the bracket, then to its midpoint, when the estimate
+    is not strictly inside (lo, hi)."""
+    finite = np.isfinite(ys)
+    xs, ys = xs[finite], ys[finite]
+    with np.errstate(all="ignore"):
+        # Lagrange weights at y = 0: prod over m != j of -y_m / (y_j - y_m)
+        ratios = -ys[None, :] / (ys[:, None] - ys[None, :])
+        np.fill_diagonal(ratios, 1.0)
+        x = lo + float(ratios.prod(axis=1) @ (xs - lo))
+    if lo < x < hi:
+        return x
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    return x if lo < x < hi else 0.5 * (lo + hi)
 
 
 # ------------------------------------------------------------------ shooting
@@ -345,14 +416,18 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         p1t  backward from u(T) = u'(T) = k, match u'(0) = k
         p2   backward from u(T) = u'(T) = k, match u(0) = k
 
-    k is found by `_scan_root`, whose 64-seed scan is one batched sweep, and
-    the solution is the shot already taken at that k.
+    k is found by `_scan_root` with `_refine_batched`: every sweep, the
+    SWEEP_SHOTS-seed scan and each refining one, is one batched call of
+    `shoot_ivp`, whose cost hardly depends on the number of shots, and it
+    takes 3-5 of them.  The solution is the shot already taken at that k, and
+    `iterations` counts the sweeps.
     """
     phi = spec.phi
     bc = spec.bc
     backward = bc.end == -1
     other = -1 - bc.end
     shots: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    sweeps = 0
 
     def matched(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         if bc is BoundaryCondition.P2:
@@ -360,17 +435,20 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         return phi.inv_fn(vs[..., other])
 
     def mismatch(ks: np.ndarray) -> np.ndarray:
+        nonlocal sweeps
+        sweeps += 1
         us, vs = shoot_ivp(spec, ks, ks, backward=backward)
         shots.update(zip(ks.tolist(), zip(us, vs)))
         return matched(us, vs) - ks
 
     # _scan_root returns one of the arguments it evaluated
-    k_root = _scan_root(mismatch, -SEED_RADIUS - 1.0, SEED_RADIUS + 1.0, 64)
+    k_root = _scan_root(mismatch, -SEED_RADIUS - 1.0, SEED_RADIUS + 1.0,
+                        SWEEP_SHOTS, _refine_batched)
     us, vs = shots[k_root]
     u = GridFunction(spec.grid, us, phi.inverse(vs))
     rep = ResidualReport(abs(float(matched(us, vs)) - k_root), bc_defects(bc, u))
     return SolveReport(
-        solution=u, residuals=rep, iterations=len(shots),
+        solution=u, residuals=rep, iterations=sweeps,
         lambda_path=(), backend="shooting",
         solution_family=_family_flag(spec, u, opts))
 

@@ -182,6 +182,14 @@ class TestCheck:
         assert main(["check", path]) == 4
         assert "'1e999' is not finite" in capsys.readouterr().err
 
+    def test_negative_bound_exit_4(self, tmp_path, capsys):
+        path = write(tmp_path, "[problem]\nT = 1\nf = 0.4 * cos(u)\nbc = p2\n"
+                               "[hypotheses]\nc_bound = -1\n")
+        assert main(["check", path]) == 4
+        captured = capsys.readouterr()
+        assert "c_bound bounds |f|, so it cannot be negative" in captured.err
+        assert captured.out == ""
+
     def test_misordered_thresholds_exit_4(self, tmp_path, capsys):
         path = write(tmp_path, MISORDERED)
         assert main(["check", path]) == 4

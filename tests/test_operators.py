@@ -142,6 +142,17 @@ class TestBracketRoot:
         # plain bisection from there needs about 56 evaluations
         assert len(calls) <= 3
 
+    def test_convex_function_keeps_close_to_bisection(self):
+        # the secant points of expm1(50 (x - 0.3)) on [0, 1] crawl up from 0
+        # while f(1) ~ 1.6e15 is halved about 50 times; bisection takes 54
+        def convex(x):
+            return np.expm1(50.0 * (x - 0.3))
+        fn, calls = self.counted(convex)
+        root = _bracket_root(fn, 0.0, 1.0, convex(0.0), convex(1.0))
+        assert root in calls
+        assert convex(np.nextafter(root, 0.0)) <= 0.0 <= convex(np.nextafter(root, 1.0))
+        assert len(calls) <= 60
+
     def test_nan_when_fn_turns_non_finite(self):
         fn, calls = self.counted(lambda x: np.nan if x > 0.4 else x - 0.7)
         assert np.isnan(_bracket_root(fn, 0.0, 1.0, -0.7, 0.3))

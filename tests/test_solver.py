@@ -1,6 +1,7 @@
 """Both solution routes, their failure modes, and the cross-check."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,12 @@ from tribvp import (BoundaryCondition, Grid, HypothesisFailed, NoConvergence,
                     scaled_atan, shoot_ivp, solve, solve_fixed_point,
                     solve_shooting)
 
+from tribvp.problem_file import load_problem
+from tribvp.solver import SWEEP_SHOTS, _refine_batched
+
 from test_acceptance import _admissible_template
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 
 def steep(bc=BoundaryCondition.P1, n=200):
@@ -305,6 +311,66 @@ class TestShooting:
         sh = solve_shooting(spec)
         assert np.abs(fp.solution.values - sh.solution.values).max() < 1e-6
         assert max(sh.residuals.bc_defects) < 1e-10
+
+
+    @pytest.mark.parametrize("name", ["steep_slope", "bounded_forcing"])
+    def test_demo_files_take_at_most_five_sweeps(self, name, monkeypatch):
+        doc = load_problem(PROBLEMS / f"{name}.prob")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return shoot_ivp(*args, **kwargs)
+        monkeypatch.setattr(tribvp.solver, "shoot_ivp", counted)
+        rep = solve_shooting(doc.spec, doc.options)
+        # one scan and at most four refining sweeps
+        assert len(calls) <= 5
+        assert rep.iterations == len(calls)
+
+
+class TestRefineBatched:
+    @staticmethod
+    def refine(fn, lo, hi):
+        """`_refine_batched` on [lo, hi]; returns the root and the argument
+        arrays of each call of fn."""
+        calls = []
+
+        def counted(xs):
+            calls.append(np.array(xs))
+            return fn(xs)
+        ks = np.array([lo, hi])
+        return _refine_batched(counted, ks, fn(ks), 0), calls
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: np.tanh(1e4 * (x - 1.0 / 3.0)),
+        lambda x: np.expm1(50.0 * (x - 0.3)),
+    ], ids=["steep_tanh", "convex_expm1"])
+    def test_reaches_adjacent_floats_at_an_evaluated_argument(self, fn):
+        root, calls = self.refine(fn, 0.0, 1.0)
+        assert any(root in xs for xs in calls)
+        below, at, above = fn(np.array([np.nextafter(root, 0.0), root,
+                                        np.nextafter(root, 1.0)]))
+        assert at == 0.0 or below * at < 0.0 or at * above < 0.0
+        assert all(xs.size <= SWEEP_SHOTS for xs in calls)
+        # every sweep at least halves the bracket; bisection needs 54 halvings
+        assert len(calls) <= 8
+
+    def test_returns_an_exact_zero(self):
+        root, calls = self.refine(lambda x: x - 0.5, 0.0, 1.0)
+        assert root == 0.5
+        assert len(calls) == 1
+
+    def test_never_brackets_across_a_nan(self):
+        # the only sign change of x - 0.5 is hidden by NaN on (0.4, 0.6)
+        root, calls = self.refine(
+            lambda x: np.where((x > 0.4) & (x < 0.6), np.nan, x - 0.5), 0.0, 1.0)
+        assert np.isnan(root)
+        assert len(calls) == 1
+
+    def test_uses_a_finite_pair_beside_a_nan(self):
+        root, _ = self.refine(
+            lambda x: np.where((x > 0.7) & (x < 0.8), np.nan, x - 0.3), 0.0, 1.0)
+        assert root == 0.3
 
 
 class TestCrossValidate:
