@@ -112,7 +112,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_deg.add_argument("file")
     p_deg.add_argument("--rho", type=float, required=True)
     p_deg.add_argument("--kappa", type=float, required=True)
-    p_deg.add_argument("--samples", type=int, default=512)
+    p_deg.add_argument("--samples", type=int, default=512,
+                       help="equally spaced angles on the circle (at least "
+                            "64): samples are at most 2 pi rho / SAMPLES "
+                            "apart, plus the corners where a wall meets it")
     p_deg.set_defaults(handler=_run_degree)
     return parser
 

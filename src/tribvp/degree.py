@@ -2,7 +2,10 @@
 
 The degree of a continuous map g on a bounded planar domain with g != 0 on the
 boundary equals the winding number of g around 0 along the positively oriented
-boundary.  The winding is a sum of signed angle steps between consecutive
+boundary.  On the ball-and-strip domain that boundary is one formula, the
+circle of radius rho clipped to the strip, sampled at m equally spaced angles
+(at most 2 pi rho / m apart) and at the corners where a wall meets the
+circle.  The winding is a sum of signed angle steps between consecutive
 boundary samples; a step of pi/2 or more bisects its segment, so no half-turn
 between samples is skipped silently.  Planar maps take arrays of points: the
 walk maps all samples in one call, and each round's midpoints in one call.
@@ -97,77 +100,31 @@ class DomainDelta:
 def boundary_polygon(delta: DomainDelta, m: int = 512) -> np.ndarray:
     """Closed counterclockwise polyline along the boundary of the domain.
 
-    Circle arcs and the vertical strip walls are joined at their exact
-    intersection points; consecutive samples are at most perimeter/m apart.
-    The first point is repeated (exactly) as the last.
+    The boundary is the circle clipped to the strip,
+
+        gamma(theta) = (clip(rho cos theta, x_lo, x_hi), rho sin theta),
+
+    with the walls at x_lo = phi^-1(-kappa) and x_hi = phi^-1(kappa).  Clipping
+    moves the arc outside the strip onto the wall at the same height, where
+    rho sin theta is monotone as long as the strip contains x = 0 (it does
+    when phi(0) = 0), so each wall is swept once and every vertex lies on the
+    boundary.  The angles are m equally spaced ones on the full circle, so
+    samples are at most 2 pi rho / m apart, plus the corners where a wall
+    meets the circle.  The first point is repeated (exactly) as the last.
     """
     if m < 64:
         raise PreconditionViolated(f"need at least 64 boundary samples, got {m}")
     rho = delta.rho
-    x_hi = delta.phi.inverse(delta.kappa)
     x_lo = delta.phi.inverse(-delta.kappa)
-    right = x_hi < rho
-    left = x_lo > -rho
-
-    pieces: list[tuple[str, tuple]] = []
-    if right and left:
-        y_r = math.sqrt(rho * rho - x_hi * x_hi)
-        y_l = math.sqrt(rho * rho - x_lo * x_lo)
-        th_r = math.atan2(y_r, x_hi)
-        th_l = math.atan2(y_l, x_lo)
-        pieces = [
-            ("seg", ((x_hi, -y_r), (x_hi, y_r))),
-            ("arc", (th_r, th_l)),
-            ("seg", ((x_lo, y_l), (x_lo, -y_l))),
-            ("arc", (2.0 * math.pi - th_l, 2.0 * math.pi - th_r)),
-        ]
-    elif right:
-        y_r = math.sqrt(rho * rho - x_hi * x_hi)
-        th_r = math.atan2(y_r, x_hi)
-        pieces = [
-            ("seg", ((x_hi, -y_r), (x_hi, y_r))),
-            ("arc", (th_r, 2.0 * math.pi - th_r)),
-        ]
-    elif left:
-        y_l = math.sqrt(rho * rho - x_lo * x_lo)
-        th_l = math.atan2(y_l, x_lo)
-        pieces = [
-            ("arc", (-th_l, th_l)),
-            ("seg", ((x_lo, y_l), (x_lo, -y_l))),
-        ]
-    else:
-        pieces = [("arc", (0.0, 2.0 * math.pi))]
-
-    def piece_length(kind, data):
-        if kind == "arc":
-            return rho * (data[1] - data[0])
-        (xa, ya), (xb, yb) = data
-        return math.hypot(xb - xa, yb - ya)
-
-    perimeter = sum(piece_length(k, d) for k, d in pieces)
-    spacing = perimeter / m
-
-    chunks: list[np.ndarray] = []
-    for kind, data in pieces:
-        length = piece_length(kind, data)
-        count = max(1, math.ceil(length / spacing - 1e-12))
-        if kind == "arc":
-            angles = np.linspace(data[0], data[1], count + 1)
-            pts = np.column_stack([rho * np.cos(angles), rho * np.sin(angles)])
-        else:
-            (xa, ya), (xb, yb) = data
-            s = np.linspace(0.0, 1.0, count + 1)
-            pts = np.column_stack([xa + (xb - xa) * s, ya + (yb - ya) * s])
-        if chunks:
-            pts = pts[1:]
-        chunks.append(pts)
-    poly = np.vstack(chunks)
-
-    # drop a duplicated seam point, then close the loop with an exact copy
-    if len(poly) > 1 and np.allclose(poly[0], poly[-1], rtol=0.0, atol=1e-12 * max(1.0, rho)):
-        poly = poly[:-1]
-    poly = np.vstack([poly, poly[:1]])
-    return poly
+    x_hi = delta.phi.inverse(delta.kappa)
+    if not x_lo <= 0.0 <= x_hi:
+        raise PreconditionViolated(f"the strip [{x_lo:.6g}, {x_hi:.6g}] must contain "
+                                   "x = 0, so that each wall is swept once")
+    corners = [math.acos(x / rho) for x in (x_lo, x_hi) if abs(x) < rho]
+    theta = np.union1d(np.linspace(0.0, 2.0 * math.pi, m + 1)[:-1],
+                       corners + [2.0 * math.pi - c for c in corners])
+    poly = np.column_stack([np.clip(rho * np.cos(theta), x_lo, x_hi), rho * np.sin(theta)])
+    return np.vstack([poly, poly[:1]])
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ Grammar:
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 So -x^2 parses as -(x^2) and 2^3^2 as 2^(3^2).
+
+Nesting is limited to MAX_NESTING levels.  An open parenthesis, a function
+argument, a unary minus and a '^' each nest one level deeper; an operator of a
+'+ - * /' chain nests one level above the deepest of its two operands, because
+the chain builds a left-deep tree.  Deeper text is an ExpressionSyntaxError at
+the offset where the limit is crossed, so the compiled source and every
+recursive tree walk stay within Python's own limits.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .errors import ExpressionSyntaxError, UnknownIdentifier
 __all__ = [
     "Node", "Num", "Var", "Unary", "Binary", "Call",
     "parse", "evaluate", "as_callable", "to_source",
-    "VARIABLES", "FUNCTIONS", "CONSTANTS",
+    "VARIABLES", "FUNCTIONS", "CONSTANTS", "MAX_NESTING",
 ]
 
 VARIABLES = ("t", "u", "v")
@@ -40,6 +47,7 @@ FUNCTIONS = {
     "abs": np.abs, "atan": np.arctan,
 }
 CONSTANTS = {"pi": math.pi, "e": math.e}
+MAX_NESTING = 160
 
 
 @dataclass(frozen=True)
@@ -144,6 +152,8 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0  # nesting levels open around the current token
+        self.reach = 0  # deepest level of the subtree parsed last
 
     @property
     def cur(self) -> _Token:
@@ -161,71 +171,86 @@ class _Parser:
         raise ExpressionSyntaxError(
             f"expected {op!r}", position=self.cur.pos)
 
+    def level(self, level: int, tok: _Token) -> int:
+        """level, refused with tok's offset when it is past MAX_NESTING."""
+        if level > MAX_NESTING:
+            raise ExpressionSyntaxError(
+                f"expression nested more than {MAX_NESTING} levels deep",
+                position=tok.pos)
+        return level
+
+    def enter(self) -> _Token:
+        """Consume the token that opens one more level of nesting."""
+        tok = self.advance()
+        self.depth = self.level(self.depth + 1, tok)
+        return tok
+
     def parse(self) -> Node:
-        node = self.expr()
+        node = self.chain("+-")
         if self.cur.kind != "end":
             raise ExpressionSyntaxError(
                 f"unexpected trailing input {self.cur.text!r}",
                 position=self.cur.pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.advance().text
-            node = Binary(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.factor())
+    def chain(self, ops: str) -> Node:
+        """expr (ops '+-', over terms) or term (ops '*/', over factors).  The
+        tree is left-deep, so each operator reaches one level past the deeper
+        of its operands."""
+        node = self.chain("*/") if ops == "+-" else self.factor()
+        reach = self.reach
+        while self.cur.kind == "op" and self.cur.text in ops:
+            tok = self.advance()
+            node = Binary(tok.text, node,
+                          self.chain("*/") if ops == "+-" else self.factor())
+            reach = self.level(max(reach, self.reach) + 1, tok)
+        self.reach = reach
         return node
 
     def factor(self) -> Node:
         if self.cur.kind == "op" and self.cur.text == "-":
-            self.advance()
-            return Unary("-", self.factor())
+            self.enter()
+            node = Unary("-", self.factor())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self) -> Node:
         node = self.atom()
         if self.cur.kind == "op" and self.cur.text == "^":
-            self.advance()
-            return Binary("^", node, self.factor())
+            reach, tok = self.reach, self.enter()
+            node = Binary("^", node, self.factor())
+            self.depth -= 1
+            self.reach = self.level(max(reach + 1, self.reach), tok)
         return node
 
     def atom(self) -> Node:
         tok = self.cur
+        self.reach = self.depth
         if tok.kind == "num":
             self.advance()
             return Num(float(tok.text))
         if tok.kind == "name":
             self.advance()
-            if self.cur.kind == "op" and self.cur.text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise UnknownIdentifier(
-                        f"unknown function {tok.text!r}", position=tok.pos)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(tok.text, arg)
-            if tok.text in VARIABLES:
-                return Var(tok.text)
-            if tok.text in CONSTANTS:
-                return Num(CONSTANTS[tok.text])
-            raise UnknownIdentifier(
-                f"unknown identifier {tok.text!r}", position=tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        shown = tok.text if tok.kind != "end" else "end of input"
-        raise ExpressionSyntaxError(
-            f"expected a value, got {shown!r}" if tok.kind != "end"
-            else "unexpected end of input", position=tok.pos)
+            if not (self.cur.kind == "op" and self.cur.text == "("):
+                if tok.text in VARIABLES:
+                    return Var(tok.text)
+                if tok.text in CONSTANTS:
+                    return Num(CONSTANTS[tok.text])
+                raise UnknownIdentifier(
+                    f"unknown identifier {tok.text!r}", position=tok.pos)
+            if tok.text not in FUNCTIONS:
+                raise UnknownIdentifier(
+                    f"unknown function {tok.text!r}", position=tok.pos)
+        elif not (tok.kind == "op" and tok.text == "("):
+            raise ExpressionSyntaxError(
+                f"expected a value, got {tok.text!r}" if tok.kind != "end"
+                else "unexpected end of input", position=tok.pos)
+        self.enter()
+        node = self.chain("+-")
+        self.expect_op(")")
+        self.depth -= 1
+        return Call(tok.text, node) if tok.kind == "name" else node
 
 
 def parse(src: str) -> Node:

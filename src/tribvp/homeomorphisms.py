@@ -39,24 +39,18 @@ class Homeomorphism:
     def inverse(self, y):
         """Map back from (-a, a); rejects any input with |y| >= a."""
         arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            val = float(arr)
-            if not abs(val) < self.a:
-                raise RangeViolation(
-                    f"{val!r} is outside the open range (-{self.a}, {self.a}) "
-                    f"of {self.name}; a priori bound violated",
-                    worst=val)
-            out = self.inv_fn(arr)
-            return float(out)
         bad = ~(np.abs(arr) < self.a)
         if bad.any():
-            node = int(np.argmax(bad))
-            val = float(arr[node])
+            i = int(np.argmax(bad))
+            node = i if arr.ndim else None
+            val = float(arr.flat[i])
+            where = "" if node is None else f" at node {node}"
             raise RangeViolation(
-                f"value {val!r} at node {node} is outside the open range "
+                f"value {val!r}{where} is outside the open range "
                 f"(-{self.a}, {self.a}) of {self.name}; a priori bound violated",
                 worst=val, node=node)
-        return self.inv_fn(arr)
+        out = self.inv_fn(arr)
+        return float(out) if out.ndim == 0 else out
 
 
 def curvature() -> Homeomorphism:

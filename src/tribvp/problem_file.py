@@ -64,7 +64,7 @@ def load_problem(path) -> ProblemDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     return loads(text, source_path=str(path))
 

@@ -124,6 +124,18 @@ class TestSolve:
         path = write(tmp_path, "[problem]\nT = 1\nf = sin(\nbc = p1\n")
         assert main(["solve", path]) == 4
 
+    def test_file_that_is_not_utf8_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "case.prob"
+        path.write_bytes(b"\xff\xfe[problem]\nT = 1\nf = u\nbc = p2\n")
+        assert main(["solve", str(path)]) == 4
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_expression_nested_too_deeply_exit_4(self, tmp_path, capsys):
+        f = " + ".join(["0.001*u"] * 1200)
+        path = write(tmp_path, f"[problem]\nT = 0.5\nn = 50\nf = {f}\nbc = p2\n")
+        assert main(["solve", path]) == 4
+        assert "nested more than 160 levels" in capsys.readouterr().err
+
     def test_require_hypotheses_misordered_thresholds_exit_4(self, tmp_path,
                                                             capsys):
         path = write(tmp_path, MISORDERED)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tribvp import (BoundaryCondition, DomainDelta, EmptyDomain, Grid,
-                    NonFinite, PlanarMap, ProblemSpec, RefinementExhausted,
+                    Homeomorphism, NonFinite, PlanarMap, ProblemSpec, RefinementExhausted,
                     RightHandSide, ZeroOnBoundary, boundary_polygon, curvature,
                     degree_for_problem, load_problem, loads, reduction_map,
                     winding_degree)
@@ -60,6 +60,55 @@ def test_polygon_walls_sit_at_exact_flux_level():
     on_circle = np.abs(np.hypot(poly[:, 0], poly[:, 1]) - 1.0) < 1e-12
     on_wall = np.abs(np.abs(poly[:, 0]) - x_hi) < 1e-12
     assert np.all(on_circle | on_wall)
+
+
+def lopsided() -> Homeomorphism:
+    """tanh(s) for s >= 0 and tanh(2s) for s < 0: walls at different |x|."""
+    return Homeomorphism(
+        "lopsided", 1.0,
+        fwd_fn=lambda s: np.where(s >= 0.0, np.tanh(s), np.tanh(2.0 * s)),
+        inv_fn=lambda y: np.where(y >= 0.0, np.arctanh(y), 0.5 * np.arctanh(y)))
+
+
+def test_one_wall_polygon_under_an_asymmetric_flux():
+    # rho = 0.4 and kappa = 0.5: the left wall at x = atanh(-0.5)/2 = -0.2747
+    # cuts the circle, the right one at atanh(0.5) = 0.549 misses it
+    phi = lopsided()
+    x_lo, x_hi = phi.inverse(-0.5), phi.inverse(0.5)
+    assert -0.4 < x_lo < 0.0 and x_hi > 0.4
+    poly = boundary_polygon(DomainDelta(0.4, 0.5, phi), 256)
+    assert np.array_equal(poly[0], poly[-1])
+    x, y = poly[:-1, 0], poly[:-1, 1]
+    assert 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0.0
+    on_circle = np.abs(np.hypot(x, y) - 0.4) < 1e-12
+    on_wall = np.abs(x - x_lo) < 1e-12
+    assert np.all(on_circle | on_wall)
+    assert on_wall.sum() > 2 and x.min() == x_lo
+    assert winding_degree(PlanarMap(lambda x, y: (x, y)), poly).degree == 1
+
+
+def test_corners_are_vertices():
+    x_hi = curvature().inverse(0.5)
+    y_c = math.sqrt(1.0 - x_hi * x_hi)
+    poly = boundary_polygon(DomainDelta(1.0, 0.5, curvature()), 256)
+    for corner in ((x_hi, y_c), (-x_hi, y_c), (-x_hi, -y_c), (x_hi, -y_c)):
+        assert np.hypot(*(poly - corner).T).min() < 1e-15
+
+
+@pytest.mark.parametrize("m", [64, 500, 512])
+def test_circle_polygon_is_the_sampled_circle(m):
+    theta = np.linspace(0.0, 2.0 * math.pi, m + 1)[:-1]
+    poly = boundary_polygon(circle_domain(), m)
+    assert np.array_equal(poly[:-1], np.column_stack([np.cos(theta), np.sin(theta)]))
+    assert np.array_equal(poly[-1], poly[0])
+
+
+def test_strip_off_the_origin_is_refused():
+    # phi(0) = tanh(-1) < -kappa: both walls lie right of x = 0
+    shifted = Homeomorphism("shifted", 1.0, fwd_fn=lambda s: np.tanh(s - 1.0),
+                            inv_fn=lambda y: 1.0 + np.arctanh(y))
+    with pytest.raises(PreconditionViolated, match="must contain x = 0"):
+        boundary_polygon(DomainDelta(1.0, 0.5, shifted), 128)
 
 
 def test_identity_swap_and_square_degrees():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tribvp import ExpressionSyntaxError, UnknownIdentifier
-from tribvp.expressions import (Binary, Call, Num, Unary, Var, as_callable,
-                                evaluate, parse, to_source)
+from tribvp.expressions import (MAX_NESTING, Binary, Call, Num, Unary, Var,
+                                as_callable, evaluate, parse, to_source)
 
 
 def ev(src, t=0.0, u=0.0, v=0.0):
@@ -114,6 +114,50 @@ def test_literal_that_overflows_is_rejected():
     assert info.value.position == 4
     assert "not finite" in str(info.value)
     assert parse("1e308") == Num(1e308)
+
+
+def nested(construct, n):
+    """Source text that nests one construct n levels deep."""
+    return {
+        "unary": "-" * n + "u",
+        "parens": "(" * n + "0.1*u" + ")" * n,
+        "function": "sin(" * n + "u" + ")" * n,
+        "power": "^".join(["u"] * n),
+        "sum": " + ".join(["0.001*u"] * n),
+        # a deep first operand under a long chain: the chain's left-deep tree
+        # puts it n levels down although neither half alone is that deep
+        "deep-then-sum": "-" * (n // 2) + "u" + " + u" * (n // 2),
+    }[construct]
+
+
+CONSTRUCTS = ["unary", "parens", "function", "power", "sum", "deep-then-sum"]
+
+
+@pytest.mark.parametrize("construct", CONSTRUCTS)
+def test_nesting_past_the_limit_is_a_syntax_error(construct):
+    with pytest.raises(ExpressionSyntaxError, match="nested more than 160 levels"):
+        parse(nested(construct, 250))
+
+
+def test_long_sum_is_refused_before_any_tree_walk():
+    src = nested("sum", 1200)
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse(src)
+    # each 0.001*u is one level deep, so the 160th '+' crosses the limit
+    assert info.value.position == src.index("+", 10 * (MAX_NESTING - 1))
+
+
+def test_nesting_error_names_the_offset_where_the_limit_is_crossed():
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse("-" * 250 + "u")
+    assert info.value.position == MAX_NESTING
+
+
+@pytest.mark.parametrize("construct", CONSTRUCTS)
+def test_nesting_at_150_still_compiles(construct):
+    tree = parse(nested(construct, 150))
+    assert parse(to_source(tree)) == tree
+    assert np.isfinite(as_callable(tree)(0.0, 0.5, 0.0))
 
 
 def test_division_of_constants_by_zero_is_inf():
