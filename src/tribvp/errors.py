@@ -73,7 +73,12 @@ class NoConvergence(BvpError):
 
 
 class NoRoot(BvpError):
-    """A root scan found no sign change to refine."""
+    """A root scan found no sign change to refine.  `iterations` counts the
+    sweeps a shooting solve took before giving up."""
+
+    def __init__(self, message: str, *, iterations: int = 0):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class StepRejected(BvpError):

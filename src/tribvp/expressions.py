@@ -269,7 +269,9 @@ def as_callable(node: Node) -> Callable:
     """Compile the tree into a plain python function (t, u, v) -> value.
 
     Arguments are coerced with np.asarray so mixed scalar/array calls
-    broadcast; a scalar result is handed back as a python float.
+    broadcast; a scalar result is handed back as a python float.  The
+    function's `source` attribute is the emitted numpy expression in t, u
+    and v, for callers that compile f into code of their own.
     """
     body = _emit(node)
     namespace = {"np": np}
@@ -283,7 +285,9 @@ def as_callable(node: Node) -> Callable:
         "    return float(_r) if _r.ndim == 0 else _r\n"
     )
     exec(code, namespace)
-    return namespace["_compiled"]
+    fn = namespace["_compiled"]
+    fn.source = body
+    return fn
 
 
 def _emit(node: Node) -> str:

@@ -18,7 +18,11 @@ __all__ = ["Homeomorphism", "curvature", "scaled_atan", "by_name"]
 
 @dataclass(frozen=True)
 class Homeomorphism:
-    """An increasing bijection R -> (-a, a) with an explicit inverse."""
+    """An increasing bijection R -> (-a, a) with an explicit inverse.
+
+    inv_fn never returns a finite value for an input outside (-a, a), so a
+    caller that only needs to detect such inputs may skip the range check.
+    """
 
     name: str
     a: float
@@ -59,7 +63,7 @@ def curvature() -> Homeomorphism:
         name="curvature",
         a=1.0,
         fwd_fn=lambda s: s / np.hypot(1.0, s),  # hypot: no overflow at huge |s|
-        inv_fn=lambda y: y / np.sqrt(1.0 - y * y),
+        inv_fn=lambda y: y / np.sqrt(1.0 - y * y),  # inf at +-1, nan beyond
     )
 
 
@@ -67,12 +71,14 @@ def scaled_atan(a: float = 1.0) -> Homeomorphism:
     """Rescaled arctangent s -> (2a/pi) atan(s), range (-a, a)."""
     if not (np.isfinite(a) and a > 0.0):
         raise ValueError(f"range half-width must be positive, got {a!r}")
-    c = 2.0 * float(a) / np.pi
+    a = float(a)
+    c = 2.0 * a / np.pi
     return Homeomorphism(
         name="atan",
-        a=float(a),
+        a=a,
         fwd_fn=lambda s: c * np.arctan(s),
-        inv_fn=lambda y: np.tan(y / c),
+        # tan is finite garbage beyond +-a: mask first
+        inv_fn=lambda y: np.tan(np.where(np.abs(y) < a, y, np.nan) / c),
     )
 
 

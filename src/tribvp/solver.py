@@ -12,10 +12,13 @@ The oracle route never touches those maps: it rewrites the equation as the
 first-order system u' = phi^{-1}(v), v' = f(t, u, phi^{-1}(v)) and shoots with
 a fixed-step classical Runge-Kutta integrator.  Each boundary condition ties
 three boundary quantities to one shared value k, so every case is a scalar
-equation in k: a batched sweep over a scan of k finds a sign change, and
-a few more batched sweeps, each placing its shots geometrically around an
-interpolated root estimate, narrow it to adjacent floats.  Agreement between
-the two routes is the package's main self-check.
+equation in k.  Every evaluation of it is a batched sweep of shots.  The root
+is first found on a grid eight times coarser: a scan of k finds a sign
+change, and a few more sweeps, each placing its shots geometrically around
+an interpolated root estimate, narrow it to adjacent floats.  On the
+problem's own grid one sweep around that root brackets it again, and the
+same refinement finishes there.  Agreement between the two routes is the
+package's main self-check.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ __all__ = [
 
 SEED_RADIUS = 2.0    # the seed scans k in [-2, 2], shooting in [-3, 3]
 SWEEP_SHOTS = 64     # shots per shooting sweep, the scan's and each refining one
+COARSENING = 8       # shooting finds its root first on n // 8 intervals ...
+MIN_COARSE_N = 16    # ... but on no fewer than 16
+NEAR_REACH = 1e-6    # the fine sweep around the coarse root reaches 1e-6 max(1, |k|)
 BACKENDS = ("fixed-point", "shooting", "both")
 ANDERSON_DEPTH = 5   # secant pairs kept per lambda-stage
 MAX_HALVINGS = 6     # pull-backs of one out-of-domain iterate before giving up
@@ -82,7 +88,8 @@ class SolveReport:
 
     `iterations` counts the fixed-point map evaluations of the accepted
     stages for the fixed-point backend, and the sweeps (calls of `shoot_ivp`)
-    for the shooting backend; `cross_validate` reports the sum.
+    for the shooting backend, on the coarse grid and on the problem's grid
+    alike; `cross_validate` reports the sum.
 
     For the fixed-point backend `residuals.c1` is the fixed-point defect and
     is <= tol on success.  For the shooting backend it is the boundary
@@ -157,8 +164,8 @@ def _seed(spec: ProblemSpec) -> GridFunction:
         return GridFunction(grid, zero, zero)
     r = SEED_RADIUS
     try:
-        k_root = _scan_root(lambda ks: affine_mean(spec, ks, ks), -r, r, 65,
-                            _refine_serial)
+        k_root = _scan_root(lambda ks: affine_mean(spec, ks, ks),
+                            np.linspace(-r, r, 65), _refine_serial)
     except NoRoot as exc:
         raise HypothesisFailed(
             f"seeding failed: the reduced scalar equation has no sign change "
@@ -243,8 +250,9 @@ def _family_flag(spec: ProblemSpec, u: GridFunction, opts: SolveOptions) -> bool
 
 # ---------------------------------------------------------------- root scans
 
-def _scan_root(fn, lo: float, hi: float, seeds: int, refine) -> float:
-    """Sign-change scan followed by `refine` on the first bracket.
+def _scan_root(fn, ks: np.ndarray, refine) -> float:
+    """Sign-change scan of fn over the sorted seeds ks, followed by `refine`
+    on the first bracket.
 
     fn maps an array of arguments to an array of values in one call; a NaN
     value marks an argument fn could not evaluate.  refine(fn, ks, vals, i)
@@ -255,11 +263,26 @@ def _scan_root(fn, lo: float, hi: float, seeds: int, refine) -> float:
     (covers flat one-parameter families).  The result is always an argument
     fn was evaluated at.
     """
-    ks = np.linspace(lo, hi, seeds)
     vals = np.asarray(fn(ks), dtype=float)
     valid = np.isfinite(vals)
     if not valid.any():
         raise NoRoot("every seed of the scan failed to evaluate")
+    root = _first_root(fn, ks, vals, refine)
+    if math.isfinite(root):
+        return root
+    magnitude = np.abs(vals)
+    best = int(np.nanargmin(magnitude))
+    if magnitude[best] <= 1e-12 * max(1.0, float(np.nanmax(magnitude))):
+        return float(ks[best])
+    raise NoRoot(
+        f"no sign change among {int(valid.sum())} valid seeds in "
+        f"[{ks[0]:g}, {ks[-1]:g}] (smallest |value| {magnitude[best]:.3g})")
+
+
+def _first_root(fn, ks: np.ndarray, vals: np.ndarray, refine) -> float:
+    """Walk the evaluated seeds ks in order: the first seed whose value is
+    exactly zero, or the root `refine` finds in the first sign change it can
+    narrow, whichever comes first; NaN when there is neither."""
     starts = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
     for i in np.flatnonzero(starts):
         if vals[i] == 0.0:
@@ -267,13 +290,18 @@ def _scan_root(fn, lo: float, hi: float, seeds: int, refine) -> float:
         root = refine(fn, ks, vals, int(i))
         if math.isfinite(root):
             return root
-    magnitude = np.abs(vals)
-    best = int(np.nanargmin(magnitude))
-    if magnitude[best] <= 1e-12 * max(1.0, float(np.nanmax(magnitude))):
-        return float(ks[best])
-    raise NoRoot(
-        f"no sign change among {int(valid.sum())} valid seeds in [{lo:g}, {hi:g}] "
-        f"(smallest |value| {magnitude[best]:.3g})")
+    return math.nan
+
+
+def _root_near(fn, k: float) -> float:
+    """Bracket a root of fn close to k in one call, at k and SWEEP_SHOTS - 2
+    points spaced geometrically on both sides of it, from eps max(1, |k|)
+    out to NEAR_REACH max(1, |k|), and narrow it with `_refine_batched`; NaN
+    when no usable bracket is found."""
+    reach = max(1.0, abs(k)) * np.geomspace(np.finfo(float).eps, NEAR_REACH,
+                                            (SWEEP_SHOTS - 1) // 2)
+    ks = np.unique(np.concatenate([k - reach, [k], k + reach]))
+    return _first_root(fn, ks, np.asarray(fn(ks), dtype=float), _refine_batched)
 
 
 def _refine_serial(fn, ks: np.ndarray, vals: np.ndarray, i: int) -> float:
@@ -364,18 +392,13 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
     grid = spec.grid
     phi = spec.phi
     a = phi.a
-    f = spec.rhs.fn
     t_nodes = grid.nodes
     h = -grid.h if backward else grid.h
     n = grid.n
     u0, slope0 = np.broadcast_arrays(np.asarray(u0, dtype=float),
                                      np.asarray(slope0, dtype=float))
     shape = u0.shape
-
-    def deriv(t: float, uu: np.ndarray, vv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # mask before inverting: tan (the atan flux) is finite garbage beyond +-a
-        du = phi.inv_fn(np.where(np.abs(vv) < a, vv, np.nan))
-        return du, f(t, uu, du)
+    stage = _rk4_stage(spec)
 
     order = np.arange(n, -1, -1) if backward else np.arange(n + 1)
     us = np.full((n + 1, u0.size), np.nan)
@@ -386,10 +409,10 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
         for i, j in zip(order[:-1], order[1:]):
             t0 = float(t_nodes[i])
             uu, vv = us[i], vs[i]
-            k1u, k1v = deriv(t0, uu, vv)
-            k2u, k2v = deriv(t0 + 0.5 * h, uu + 0.5 * h * k1u, vv + 0.5 * h * k1v)
-            k3u, k3v = deriv(t0 + 0.5 * h, uu + 0.5 * h * k2u, vv + 0.5 * h * k2v)
-            k4u, k4v = deriv(t0 + h, uu + h * k3u, vv + h * k3v)
+            k1u, k1v = stage(t0, uu, vv)
+            k2u, k2v = stage(t0 + 0.5 * h, uu + 0.5 * h * k1u, vv + 0.5 * h * k1v)
+            k3u, k3v = stage(t0 + 0.5 * h, uu + 0.5 * h * k2u, vv + 0.5 * h * k2v)
+            k4u, k4v = stage(t0 + h, uu + h * k3u, vv + h * k3v)
             u_next = uu + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
             v_next = vv + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             alive = (np.abs(v_next) < a) & np.isfinite(u_next)
@@ -408,6 +431,21 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
     return us.T.reshape(shape + (n + 1,)), vs.T.reshape(shape + (n + 1,))
 
 
+def _rk4_stage(spec: ProblemSpec):
+    """The stage function (t, u, y) -> (u', y') of the first-order system,
+    compiled from source.  An f compiled from an expression (`as_callable`)
+    has its numpy source inlined, with no argument coercion and no 0-d
+    results; any other callable is called as f(t, u, v).  phi^{-1} is never
+    finite outside (-a, a), so a shot that leaves the range dies without a
+    mask here."""
+    f = spec.rhs.fn
+    namespace = {"np": np, "inv": spec.phi.inv_fn, "f": f}
+    exec("def stage(t, u, y):\n"
+         "    v = inv(y)\n"
+         f"    return v, {getattr(f, 'source', 'f(t, u, v)')}\n", namespace)
+    return namespace["stage"]
+
+
 def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Every boundary condition ties three boundary quantities to one shared
     value k, so each is a scalar shooting problem in k:
@@ -416,11 +454,14 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         p1t  backward from u(T) = u'(T) = k, match u'(0) = k
         p2   backward from u(T) = u'(T) = k, match u(0) = k
 
-    k is found by `_scan_root` with `_refine_batched`: every sweep, the
-    SWEEP_SHOTS-seed scan and each refining one, is one batched call of
-    `shoot_ivp`, whose cost hardly depends on the number of shots, and it
-    takes 3-5 of them.  The solution is the shot already taken at that k, and
-    `iterations` counts the sweeps.
+    Every sweep is one batched call of `shoot_ivp`, whose cost hardly depends
+    on the number of shots but grows with n.  So k is first found on a grid
+    of max(n // COARSENING, MIN_COARSE_N) intervals, by `_scan_root` with
+    `_refine_batched`; on the problem's grid, `_root_near` brackets it again
+    in one sweep and finishes it.  When either level finds no usable bracket,
+    or the coarse grid is not coarser, the scan and refinement run on the
+    problem's grid alone.  The solution is the fine shot taken at k, and
+    `iterations` counts the sweeps on both grids; a NoRoot carries it too.
     """
     phi = spec.phi
     bc = spec.bc
@@ -434,16 +475,31 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
             return us[..., other]
         return phi.inv_fn(vs[..., other])
 
-    def mismatch(ks: np.ndarray) -> np.ndarray:
+    def mismatch(ks: np.ndarray, on: ProblemSpec = spec) -> np.ndarray:
         nonlocal sweeps
         sweeps += 1
-        us, vs = shoot_ivp(spec, ks, ks, backward=backward)
-        shots.update(zip(ks.tolist(), zip(us, vs)))
+        us, vs = shoot_ivp(on, ks, ks, backward=backward)
+        if on is spec:
+            shots.update(zip(ks.tolist(), zip(us, vs)))
         return matched(us, vs) - ks
 
-    # _scan_root returns one of the arguments it evaluated
-    k_root = _scan_root(mismatch, -SEED_RADIUS - 1.0, SEED_RADIUS + 1.0,
-                        SWEEP_SHOTS, _refine_batched)
+    # k_root is always an argument of a fine sweep, so `shots` holds its shot
+    scan = np.linspace(-SEED_RADIUS - 1.0, SEED_RADIUS + 1.0, SWEEP_SHOTS)
+    n_coarse = max(spec.grid.n // COARSENING, MIN_COARSE_N)
+    k_root = math.nan
+    if n_coarse < spec.grid.n:
+        coarse = replace(spec, grid=Grid(spec.grid.T, n_coarse))
+        try:
+            k_root = _root_near(mismatch, _scan_root(lambda ks: mismatch(ks, coarse),
+                                                     scan, _refine_batched))
+        except NoRoot:
+            pass
+    if math.isnan(k_root):
+        try:
+            k_root = _scan_root(mismatch, scan, _refine_batched)
+        except NoRoot as exc:
+            exc.iterations = sweeps
+            raise
     us, vs = shots[k_root]
     u = GridFunction(spec.grid, us, phi.inverse(vs))
     rep = ResidualReport(abs(float(matched(us, vs)) - k_root), bc_defects(bc, u))

@@ -76,6 +76,15 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "status=fail" in out and "iters=3" in out
 
+    def test_shooting_without_a_root_counts_its_sweeps(self, tmp_path, capsys):
+        path = write(tmp_path, "[problem]\nT = 0.01\nn = 200\n"
+                               "f = exp(v) - exp(3.5)\nbc = p1\n")
+        assert main(["solve", path, "--backend", "shooting"]) == 2
+        captured = capsys.readouterr()
+        assert "status=fail" in captured.out
+        assert int(captured.out.split("iters=")[1].split()[0]) >= 1
+        assert "no sign change" in captured.err
+
     def test_non_finite_rhs_exit_2(self, tmp_path, capsys):
         # log(u) is -inf on the zero seed of the p2 continuation
         path = write(tmp_path, "[problem]\nT = 1\nf = log(u)\nbc = p2\n")

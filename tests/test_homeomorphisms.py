@@ -55,6 +55,21 @@ def test_inverse_rejects_out_of_range():
     assert info.value.worst == pytest.approx(1.2)
 
 
+@pytest.mark.parametrize("phi", [curvature(), scaled_atan(1.0), scaled_atan(2.0)],
+                         ids=["curvature", "atan1", "atan2"])
+def test_inv_fn_is_never_finite_outside_the_range(phi):
+    # the shooting stage relies on this instead of masking its input
+    a = phi.a
+    outside = np.array([a, -a, 1.5 * a, -1.5 * a, np.inf, -np.inf, np.nan])
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(phi.inv_fn(outside)).any()
+        for y in outside:
+            assert not np.isfinite(phi.inv_fn(y))
+    inside = np.array([np.nextafter(a, 0.0), -np.nextafter(a, 0.0), 0.5 * a, 0.0])
+    assert np.isfinite(phi.inv_fn(inside)).all()
+    assert np.array_equal(phi.inv_fn(inside), phi.inverse(inside))
+
+
 def test_monotone_on_random_pairs():
     rng = np.random.default_rng(9)
     for phi in (curvature(), scaled_atan(0.7)):

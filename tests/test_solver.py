@@ -8,12 +8,12 @@ import pytest
 
 import tribvp.solver
 from tribvp import (BoundaryCondition, Grid, HypothesisFailed, NoConvergence,
-                    ProblemSpec, RangeViolation, RightHandSide, SolveOptions,
+                    NoRoot, ProblemSpec, RangeViolation, RightHandSide, SolveOptions,
                     StepRejected, affine_mean, cross_validate, curvature,
                     scaled_atan, shoot_ivp, solve, solve_fixed_point,
                     solve_shooting)
 
-from tribvp.problem_file import load_problem
+from tribvp.problem_file import load_problem, loads
 from tribvp.solver import SWEEP_SHOTS, _refine_batched
 
 from test_acceptance import _admissible_template
@@ -314,18 +314,89 @@ class TestShooting:
 
 
     @pytest.mark.parametrize("name", ["steep_slope", "bounded_forcing"])
-    def test_demo_files_take_at_most_five_sweeps(self, name, monkeypatch):
+    def test_demo_files_shoot_at_most_three_grids_of_steps(self, name, monkeypatch):
         doc = load_problem(PROBLEMS / f"{name}.prob")
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return shoot_ivp(*args, **kwargs)
+        def counted(spec, *args, **kwargs):
+            calls.append(spec.grid.n)
+            return shoot_ivp(spec, *args, **kwargs)
         monkeypatch.setattr(tribvp.solver, "shoot_ivp", counted)
         rep = solve_shooting(doc.spec, doc.options)
-        # one scan and at most four refining sweeps
-        assert len(calls) <= 5
+        # the sweep cost is per RK4 step: the coarse sweeps and at most two
+        # fine ones take no more steps than three sweeps of the problem's grid
+        assert sum(calls) <= 3 * doc.spec.grid.n
         assert rep.iterations == len(calls)
+
+    # the cubic in v kills the shots of large |k| in the direction of the sweep
+    @pytest.mark.parametrize("cubic,bc,backward", [("v*v*v - 4*v", "p1", False),
+                                                   ("4*v - v*v*v", "p2", True)],
+                             ids=["p1", "p2"])
+    def test_inlined_and_called_stages_agree(self, cubic, bc, backward):
+        doc = loads(f"[problem]\nT = 0.5\nn = 100\n"
+                    f"f = {cubic} + 0.5*cos(6.283*t/0.5) + 0.3*sin(u)\nbc = {bc}\n")
+        f = doc.spec.rhs.fn
+        assert hasattr(f, "source")         # shot with f's source inlined
+        calls = []
+
+        def called(t, u, v):
+            calls.append(t)
+            return f(t, u, v)
+        wrapped = replace(doc.spec, rhs=RightHandSide(fn=called))
+        ks = np.linspace(-3.0, 3.0, SWEEP_SHOTS)
+        inlined = shoot_ivp(doc.spec, ks, ks, backward=backward)
+        through_call = shoot_ivp(wrapped, ks, ks, backward=backward)
+        assert len(calls) == 4 * doc.spec.grid.n
+        dead = np.isnan(inlined[0]).all(axis=1)
+        assert dead.any() and not dead.all()
+        for got, want in zip(through_call, inlined):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    # The two-level search picks the root that a search on the problem's grid
+    # alone picks (k recorded from it), or raises its exception and message.
+    @pytest.mark.parametrize("f,bc,T,expected", [
+        ("v*v*v - 4*v + 0.5*cos(6.283*t/0.1)", "p1", 0.1, 0.0005001410615961111),
+        ("v*v*v - 4*v + 0.5*cos(6.283*t/0.1)", "p1t", 0.1, -2.041681934433797),
+        ("v*v*v - 4*v + 0.5*cos(6.283*t/0.1)", "p1", 0.01, -2.0569964099481726),
+        ("(v + 2.5)*(v - 0.5)", "p1t", 0.1, 0.49999999999998457),
+        ("sin(3*v)", "p1", 0.1, -2.094395102393202),
+        ("(v - 1)*v*(v + 1)", "p1", 0.1, -1.0000000000000004),
+        ("exp(v) - exp(3)", "p1", 0.01, 3.0),
+        ("exp(v) - exp(3.5)", "p1", 0.01,
+         "no sign change among 42 valid seeds in [-3, 3] (smallest |value| 0.326)"),
+        ("1/(v-0.25)", "p1", 0.1,
+         "no sign change among 64 valid seeds in [-3, 3] (smallest |value| 0.187)"),
+    ], ids=["cubic-p1", "cubic-p1t", "cubic-p1-short", "two-lines-p1t", "sine-p1",
+            "three-roots-p1", "exp3-exact-zero", "exp3.5-no-root", "pole-no-root"])
+    def test_two_level_search_keeps_the_fine_grid_root(self, f, bc, T, expected):
+        spec = loads(f"[problem]\nT = {T}\nn = 200\nf = {f}\nbc = {bc}\n").spec
+        if isinstance(expected, str):
+            with pytest.raises(NoRoot) as info:
+                solve_shooting(spec)
+            assert str(info.value) == expected
+            assert info.value.iterations >= 1
+        else:
+            k = solve_shooting(spec).solution.values[spec.bc.end]
+            assert abs(k - expected) <= 1e-13
+
+    def test_atan_flux_shots_leaving_the_range_are_nan_rows(self):
+        # f = 12 a sin(10 pi t) on h = 0.1: RK4 takes phi(u') from v0 to
+        # v0 + 0.8 a and back, and its last stages reach v0 + 1.2 a and
+        # v0 - 0.4 a, so a shot survives only for v0 in (-0.6 a, -0.2 a).
+        # tan, the atan flux's inverse, is finite out there: the flux masks it.
+        for a in (1.0, 2.0):
+            phi = scaled_atan(a)
+            forcing = RightHandSide(fn=lambda t, u, v: 12.0 * a * np.sin(10 * np.pi * t))
+            spec = ProblemSpec(Grid(1.0, 10), phi, forcing, BoundaryCondition.P1)
+            v0 = a * np.array([-0.9, -0.5, -0.3, 0.0, 0.5])
+            us, vs = shoot_ivp(spec, 0.0, phi.inverse(v0))
+            dead = np.isnan(us).all(axis=1)
+            assert np.array_equal(np.isnan(vs).all(axis=1), dead)
+            assert dead.tolist() == [True, False, False, True, True]
+            assert np.isfinite(us[~dead]).all() and np.isfinite(vs[~dead]).all()
+            for row in (1, 2):
+                u1, v1 = shoot_ivp(spec, 0.0, phi.inverse(v0[row]))
+                assert np.array_equal(us[row], u1) and np.array_equal(vs[row], v1)
 
 
 class TestRefineBatched:
