@@ -298,8 +298,7 @@ def _emit(node: Node) -> str:
     if isinstance(node, Unary):
         return f"(-{_emit(node.operand)})"
     if isinstance(node, Call):
-        fn = "np.arctan" if node.func == "atan" else f"np.{node.func}"
-        return f"{fn}({_emit(node.arg)})"
+        return f"np.{FUNCTIONS[node.func].__name__}({_emit(node.arg)})"
     if isinstance(node, Binary):
         # numpy gives inf or nan where python floats raise, as on 1/0
         if node.op in "^/":

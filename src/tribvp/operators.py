@@ -145,12 +145,13 @@ def mean_value(grid: Grid, v) -> float:
 # slow steps replaces the modified step: on the benchmark's p2 problems it
 # raised balancing_shift from 6.4 to 9.6 evaluations per call.
 SLOW_STEPS = 3
+MAX_BRACKET_STEPS = 200  # evaluations before the narrowest bracket so far is returned
 
 
-def _bracket_root(fn, lo: float, hi: float, f_lo: float, f_hi: float,
-                  max_iters: int = 200) -> float:
-    """Root of the scalar function fn inside the bracket [lo, hi], given the
-    values f_lo = fn(lo) and f_hi = fn(hi) of opposite signs.
+def _bracket_root(fn, ks: np.ndarray, vals: np.ndarray, i: int) -> float:
+    """Root of fn inside [ks[i], ks[i + 1]], where the values vals[i] and
+    vals[i + 1] have opposite signs; a refiner of the `solver` contract that
+    calls fn with one argument at a time.
 
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant point
     replaces the endpoint of its sign, and an endpoint kept twice in a row has
@@ -160,14 +161,17 @@ def _bracket_root(fn, lo: float, hi: float, f_lo: float, f_hi: float,
     taken.  After SLOW_STEPS steps in a row that each kept more than half of
     the bracket, the next point is the midpoint, so no function costs more
     than about SLOW_STEPS + 1 times bisection's count, not even a convex one
-    whose far endpoint value takes dozens of halvings.  Stops at an exact zero or at adjacent floats, returning the
-    endpoint of smaller |value|.  NaN when fn turns non-finite inside.
+    whose far endpoint value takes dozens of halvings.  Stops at an exact
+    zero or at adjacent floats, returning the endpoint of smaller |value|.
+    NaN when fn turns non-finite inside.
     """
+    lo, hi = float(ks[i]), float(ks[i + 1])
+    f_lo, f_hi = float(vals[i]), float(vals[i + 1])
     kept = 0          # -1: lo kept last time, +1: hi kept last time
     true_lo, true_hi = f_lo, f_hi
     trusted = math.nan  # the last point a secant step, or a step off one, produced
     slow = 0          # steps in a row that kept more than half of the bracket
-    for _ in range(max_iters):
+    for _ in range(MAX_BRACKET_STEPS):
         if slow == SLOW_STEPS:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
@@ -185,7 +189,7 @@ def _bracket_root(fn, lo: float, hi: float, f_lo: float, f_hi: float,
                 if not lo < x < hi:
                     break
         width = hi - lo
-        fx = float(fn(x))
+        fx = float(fn(np.array([x]))[0])
         if not np.isfinite(fx):
             return float("nan")
         if fx == 0.0:
@@ -207,10 +211,11 @@ def _bracket_root(fn, lo: float, hi: float, f_lo: float, f_hi: float,
 def balancing_shift(phi: Homeomorphism, grid: Grid, h_values) -> float:
     """The unique constant q with  int_0^T phi^{-1}(h(t) - q) dt = 0.
 
-    Defined for sup|h| < a/2 (then |h - q| < a for every q in the range of h,
-    so the integrand exists).  q -> integral is continuous and strictly
-    decreasing, and changes sign between min h and max h; `_bracket_root` on
-    that bracket converges to adjacent floats.
+    Defined for sup|h| < a/2: then |h - q| < a for every q in the range of h,
+    so the integrand exists without the range check of `phi.inverse`.
+    q -> integral is continuous and strictly decreasing, and changes sign
+    between min h and max h; `_bracket_root` on that bracket converges to
+    adjacent floats.
     """
     hv = np.asarray(h_values, dtype=float)
     sup = float(np.abs(hv).max())
@@ -218,21 +223,17 @@ def balancing_shift(phi: Homeomorphism, grid: Grid, h_values) -> float:
         raise PreconditionViolated(
             f"sup|h| = {sup:.6g} must stay below a/2 = {0.5 * phi.a:.6g} "
             "for the balancing constant to be defined")
-    lo = float(hv.min())
-    hi = float(hv.max())
-    if lo == hi:
-        return lo
 
-    def balance(q: float) -> float:
-        return _trapz(grid, phi.inverse(hv - q))
+    def balance(qs: np.ndarray) -> np.ndarray:
+        return _trapz(grid, phi.inv_fn(hv - qs[:, None]))
 
-    f_lo = balance(lo)
-    if f_lo <= 0.0:
-        return lo
-    f_hi = balance(hi)
-    if f_hi >= 0.0:
-        return hi
-    return _bracket_root(balance, lo, hi, f_lo, f_hi)
+    ends = np.array([hv.min(), hv.max()])
+    f_ends = balance(ends)
+    if f_ends[0] <= 0.0:  # a constant h returns here or just below
+        return float(ends[0])
+    if f_ends[1] >= 0.0:
+        return float(ends[1])
+    return _bracket_root(balance, ends, f_ends, 0)
 
 
 def fixed_point_map(spec: ProblemSpec, lam: float, u: GridFunction) -> GridFunction:

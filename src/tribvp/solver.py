@@ -19,6 +19,14 @@ an interpolated root estimate, narrow it to adjacent floats.  On the
 problem's own grid one sweep around that root brackets it again, and the
 same refinement finishes there.  Agreement between the two routes is the
 package's main self-check.
+
+Every scalar equation, the lambda = 0 seed, the p2 balancing constant in
+`operators` and the shooting mismatch, is solved under one contract.  fn maps
+an array of arguments to an array of values, NaN where it cannot evaluate,
+and `_scan_root` finds a sign change.  A refiner refine(fn, ks, vals, i)
+narrows the bracket [ks[i], ks[i + 1]] and returns an argument it evaluated,
+or NaN: `operators._bracket_root` calls fn with one argument at a time,
+`_refine_batched` with a sweep of up to SWEEP_SHOTS.
 """
 
 from __future__ import annotations
@@ -165,7 +173,7 @@ def _seed(spec: ProblemSpec) -> GridFunction:
     r = SEED_RADIUS
     try:
         k_root = _scan_root(lambda ks: affine_mean(spec, ks, ks),
-                            np.linspace(-r, r, 65), _refine_serial)
+                            np.linspace(-r, r, 65), _bracket_root)
     except NoRoot as exc:
         raise HypothesisFailed(
             f"seeding failed: the reduced scalar equation has no sign change "
@@ -251,25 +259,22 @@ def _family_flag(spec: ProblemSpec, u: GridFunction, opts: SolveOptions) -> bool
 # ---------------------------------------------------------------- root scans
 
 def _scan_root(fn, ks: np.ndarray, refine) -> float:
-    """Sign-change scan of fn over the sorted seeds ks, followed by `refine`
-    on the first bracket.
-
-    fn maps an array of arguments to an array of values in one call; a NaN
-    value marks an argument fn could not evaluate.  refine(fn, ks, vals, i)
-    narrows the bracket [ks[i], ks[i + 1]] of the sorted evaluated arguments
-    ks and returns an argument it evaluated, or NaN when it meets a value it
-    cannot use; the next bracket is tried then.  If the scan finds no sign
-    change but some value is numerically zero, that argument is returned
-    (covers flat one-parameter families).  The result is always an argument
-    fn was evaluated at.
-    """
+    """Sign-change scan of fn over the sorted seeds ks in one call, under the
+    contract of the module docstring: the first seed whose value is exactly
+    zero, or the root `refine` finds in the first sign change it can narrow,
+    whichever comes first.  Failing both, a seed whose value is numerically
+    zero (covers flat one-parameter families); NoRoot otherwise."""
     vals = np.asarray(fn(ks), dtype=float)
     valid = np.isfinite(vals)
     if not valid.any():
         raise NoRoot("every seed of the scan failed to evaluate")
-    root = _first_root(fn, ks, vals, refine)
-    if math.isfinite(root):
-        return root
+    starts = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
+    for i in np.flatnonzero(starts):
+        if vals[i] == 0.0:
+            return float(ks[i])
+        root = refine(fn, ks, vals, int(i))
+        if math.isfinite(root):
+            return root
     magnitude = np.abs(vals)
     best = int(np.nanargmin(magnitude))
     if magnitude[best] <= 1e-12 * max(1.0, float(np.nanmax(magnitude))):
@@ -279,44 +284,17 @@ def _scan_root(fn, ks: np.ndarray, refine) -> float:
         f"[{ks[0]:g}, {ks[-1]:g}] (smallest |value| {magnitude[best]:.3g})")
 
 
-def _first_root(fn, ks: np.ndarray, vals: np.ndarray, refine) -> float:
-    """Walk the evaluated seeds ks in order: the first seed whose value is
-    exactly zero, or the root `refine` finds in the first sign change it can
-    narrow, whichever comes first; NaN when there is neither."""
-    starts = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
-    for i in np.flatnonzero(starts):
-        if vals[i] == 0.0:
-            return float(ks[i])
-        root = refine(fn, ks, vals, int(i))
-        if math.isfinite(root):
-            return root
-    return math.nan
-
-
-def _root_near(fn, k: float) -> float:
-    """Bracket a root of fn close to k in one call, at k and SWEEP_SHOTS - 2
-    points spaced geometrically on both sides of it, from eps max(1, |k|)
-    out to NEAR_REACH max(1, |k|), and narrow it with `_refine_batched`; NaN
-    when no usable bracket is found."""
-    reach = max(1.0, abs(k)) * np.geomspace(np.finfo(float).eps, NEAR_REACH,
-                                            (SWEEP_SHOTS - 1) // 2)
-    ks = np.unique(np.concatenate([k - reach, [k], k + reach]))
-    return _first_root(fn, ks, np.asarray(fn(ks), dtype=float), _refine_batched)
-
-
-def _refine_serial(fn, ks: np.ndarray, vals: np.ndarray, i: int) -> float:
-    """`_bracket_root` on [ks[i], ks[i + 1]], one argument per call of fn:
-    the refiner for an fn whose cost grows with the number of arguments."""
-    def scalar(k: float) -> float:
-        return float(fn(np.array([k]))[0])
-
-    return _bracket_root(scalar, float(ks[i]), float(ks[i + 1]),
-                         float(vals[i]), float(vals[i + 1]))
+def _sweep_around(x: float, nearest: float, farthest: float,
+                  scale: float = 1.0) -> np.ndarray:
+    """x and (SWEEP_SHOTS - 1) // 2 points on each side of it, spaced
+    geometrically from scale * nearest out to scale * farthest away; sorted,
+    without duplicates."""
+    reach = scale * np.geomspace(nearest, farthest, (SWEEP_SHOTS - 1) // 2)
+    return np.unique(np.concatenate([x - reach, [x], x + reach]))
 
 
 def _refine_batched(fn, ks: np.ndarray, vals: np.ndarray, i: int) -> float:
-    """Narrow [ks[i], ks[i + 1]] by whole calls of fn: the refiner for an fn
-    that costs about as much for SWEEP_SHOTS arguments as for one.
+    """Narrow [ks[i], ks[i + 1]] by whole sweeps of fn.
 
     Each call of fn takes an estimate x of the root and points spaced
     geometrically on both sides of it, from one ulp of x out to half the
@@ -326,16 +304,14 @@ def _refine_batched(fn, ks: np.ndarray, vals: np.ndarray, i: int) -> float:
     a NaN is never used.  Stops at an exact zero, or at adjacent floats with
     the end of smaller |value|; NaN when no usable pair is left.
     """
-    per_side = (SWEEP_SHOTS - 1) // 2
     while True:
         lo, hi = float(ks[i]), float(ks[i + 1])
         if np.nextafter(lo, hi) == hi:
             return lo if abs(vals[i]) <= abs(vals[i + 1]) else hi
         near = slice(max(i - 1, 0), i + 3)  # the bracket and one neighbour each side
         x = _root_estimate(ks[near], vals[near], lo, hi, vals[i], vals[i + 1])
-        reach = np.geomspace(np.spacing(abs(x)), 0.5 * (hi - lo), per_side)
-        pts = np.concatenate([x - reach[::-1], [x], x + reach])
-        pts = np.unique(pts[(pts > lo) & (pts < hi)])
+        pts = _sweep_around(x, np.spacing(abs(x)), 0.5 * (hi - lo))
+        pts = pts[(pts > lo) & (pts < hi)]
         pvals = np.asarray(fn(pts), dtype=float)
         zero = np.flatnonzero(pvals == 0.0)
         if zero.size:
@@ -457,11 +433,12 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     Every sweep is one batched call of `shoot_ivp`, whose cost hardly depends
     on the number of shots but grows with n.  So k is first found on a grid
     of max(n // COARSENING, MIN_COARSE_N) intervals, by `_scan_root` with
-    `_refine_batched`; on the problem's grid, `_root_near` brackets it again
-    in one sweep and finishes it.  When either level finds no usable bracket,
-    or the coarse grid is not coarser, the scan and refinement run on the
-    problem's grid alone.  The solution is the fine shot taken at k, and
-    `iterations` counts the sweeps on both grids; a NoRoot carries it too.
+    `_refine_batched`.  On the problem's grid a second `_scan_root` sweeps
+    k and points within NEAR_REACH max(1, |k|) of it, and finishes the root
+    it brackets.  When either level raises NoRoot, or the coarse grid is not
+    coarser, the full scan and refinement run on the problem's grid alone.
+    The solution is the fine shot taken at k, and `iterations` counts the
+    sweeps on both grids; a NoRoot carries it too.
     """
     phi = spec.phi
     bc = spec.bc
@@ -490,8 +467,9 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     if n_coarse < spec.grid.n:
         coarse = replace(spec, grid=Grid(spec.grid.T, n_coarse))
         try:
-            k_root = _root_near(mismatch, _scan_root(lambda ks: mismatch(ks, coarse),
-                                                     scan, _refine_batched))
+            k = _scan_root(lambda ks: mismatch(ks, coarse), scan, _refine_batched)
+            near = _sweep_around(k, np.finfo(float).eps, NEAR_REACH, max(1.0, abs(k)))
+            k_root = _scan_root(mismatch, near, _refine_batched)
         except NoRoot:
             pass
     if math.isnan(k_root):

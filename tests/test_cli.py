@@ -125,6 +125,21 @@ class TestSolve:
         assert main(["solve", BOUNDED, "--require-hypotheses"]) == 0
         assert "status=ok" in capsys.readouterr().out
 
+    def test_out_into_a_missing_directory_exit_4(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "table.csv"
+        assert main(["solve", STEEP, "--out", str(dest)]) == 4
+        assert f"cannot write {dest}" in capsys.readouterr().err
+        assert not dest.parent.exists()
+
+    @pytest.mark.parametrize("grid,fragment", [
+        ("T = 1\nn = 1", "interval count must be an integer >= 2, got 1"),
+        ("T = inf", "[problem] T: must be finite"),
+    ], ids=["one-interval", "infinite-horizon"])
+    def test_unusable_grid_exit_4(self, tmp_path, capsys, grid, fragment):
+        path = write(tmp_path, f"[problem]\n{grid}\nf = 0\nbc = p2\n")
+        assert main(["solve", path]) == 4
+        assert fragment in capsys.readouterr().err
+
     def test_missing_file_exit_4(self, capsys):
         assert main(["solve", "/nonexistent/file.prob"]) == 4
         assert capsys.readouterr().err.strip()

@@ -1,7 +1,11 @@
-"""Every exported name resolves: a deleted function cannot leave its export behind."""
+"""Every exported name resolves: a deleted function cannot leave its export
+behind.  Every private module-level name is used: a consolidation cannot leave
+a helper behind."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,49 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == []
+
+
+SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(Path(tribvp.__file__).parent.glob("*.py"))}
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _uses(statement):
+    """(bare names read, attribute and imported names) of one statement."""
+    bare, qualified = set(), set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            bare.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            qualified.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            qualified.update(alias.name for alias in node.names)
+    return bare, qualified
+
+
+def test_every_private_name_is_used():
+    # a mention in a docstring or comment does not count, nor does use inside
+    # the definition itself; a bare name counts only in its own module
+    uses = [(module, statement, *_uses(statement))
+            for module, tree in SOURCES.items() for statement in tree.body]
+    unused = [f"{module}.{name}"
+              for module, tree in SOURCES.items()
+              for name, node in _private_definitions(tree)
+              if not any(name in qualified or (where == module and name in bare)
+                         for where, statement, bare, qualified in uses
+                         if statement is not node)]
+    assert unused == []

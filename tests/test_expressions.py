@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tribvp import ExpressionSyntaxError, UnknownIdentifier
-from tribvp.expressions import (MAX_NESTING, Binary, Call, Num, Unary, Var,
-                                as_callable, evaluate, parse, to_source)
+from tribvp.expressions import (FUNCTIONS, MAX_NESTING, Binary, Call, Num, Unary,
+                                Var, as_callable, evaluate, parse, to_source)
 
 
 def ev(src, t=0.0, u=0.0, v=0.0):
@@ -50,6 +50,17 @@ def test_functions():
     assert ev("abs(-4)") == 4.0
     assert ev("atan(1)") == pytest.approx(math.pi / 4, abs=1e-15)
     assert ev("log(e)") == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_every_catalog_function_compiles_to_its_own_numpy_function(name):
+    # the emitter names each function by the catalog entry the parser uses;
+    # the arguments cover the NaN of log and sqrt and the poles of tan
+    v = np.concatenate([np.linspace(-4.0, 4.0, 81), [np.pi / 2, -np.inf, np.inf]])
+    with np.errstate(all="ignore"):
+        got = as_callable(parse(f"{name}(v)"))(0.0, 0.0, v)
+        want = FUNCTIONS[name](v)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_flagship_sources():
@@ -106,6 +117,15 @@ def test_syntax_errors_carry_offsets():
     with pytest.raises(ExpressionSyntaxError) as info:
         parse("2 @ 3")
     assert info.value.position == 2
+
+
+def test_signed_exponents_and_a_lone_dot():
+    assert ev("1e-3") == 1e-3
+    assert ev("2.5E+2*u", u=2.0) == 500.0
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse(".")
+    assert str(info.value).startswith("malformed number '.'")
+    assert info.value.position == 0
 
 
 def test_literal_that_overflows_is_rejected():

@@ -74,6 +74,17 @@ class TestSignCondition:
         assert "integral form" in v.detail
         assert v.counterexample is not None
 
+    def test_f_not_finite_on_a_slab_fails_with_a_counterexample(self):
+        # sqrt(v) is NaN on the whole slab y <= M1 < 0
+        spec = ProblemSpec(Grid(1.0, 50), curvature(),
+                           RightHandSide(fn=lambda t, u, v: np.sqrt(v)),
+                           BoundaryCondition.P1)
+        v = check_sign_condition(spec, -1.0, 1.0, BOX)
+        assert v.status is Verdict.FAIL
+        assert v.detail == "f not finite on y <= M1"
+        t, x, y = v.counterexample
+        assert 0.0 <= t <= 1.0 and y <= -1.0
+
     def test_thresholds_must_be_ordered(self):
         with pytest.raises(InvalidThresholds):
             check_sign_condition(steep_spec(), 0.5, 0.5, BOX)

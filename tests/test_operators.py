@@ -106,56 +106,69 @@ class TestBalancingShift:
             balancing_shift(curvature(), g, np.full(17, 0.6))  # >= a/2
 
 
-class TestBracketRoot:
-    @staticmethod
-    def counted(fn):
+def steep_tanh(x):
+    return np.tanh(1e4 * (x - 1.0 / 3.0))
+
+
+def convex_expm1(x):
+    # the secant points of expm1(50 (x - 0.3)) on [0, 1] crawl up from 0
+    # while f(1) ~ 1.6e15 is halved about 50 times; bisection takes 54
+    return np.expm1(50.0 * (x - 0.3))
+
+
+class RefinerCases:
+    """The cases both refiners of the root-search contract share.  A test
+    class per refiner sets `refiner` and its own bounds: at most
+    ARGS_PER_CALL arguments per call of fn, at most MAX_CALLS[case] calls."""
+
+    def refine(self, fn, lo, hi):
+        """The refiner on [lo, hi]; returns the root and the argument arrays
+        of each call of fn."""
         calls = []
 
-        def wrapped(x):
-            calls.append(x)
-            return fn(x)
-        return wrapped, calls
+        def counted(xs):
+            assert xs.size <= self.ARGS_PER_CALL
+            calls.append(np.array(xs))
+            return fn(xs)
+        ks = np.array([lo, hi])
+        return self.refiner(counted, ks, fn(ks), 0), calls
 
     def test_returns_an_exact_zero(self):
-        # the first secant point of a linear function is its root
-        fn, calls = self.counted(lambda x: x - 0.5)
-        assert _bracket_root(fn, 0.0, 1.0, -0.5, 0.5) == 0.5
-        assert calls == [0.5]
+        # the first point either refiner tries on a linear function is its root
+        root, calls = self.refine(lambda x: x - 0.5, 0.0, 1.0)
+        assert root == 0.5
+        assert len(calls) == 1 and 0.5 in calls[0]
 
-    def test_steep_function_down_to_adjacent_floats(self):
-        def steep(x):
-            return np.tanh(1e4 * (x - 1.0 / 3.0))
-        fn, calls = self.counted(steep)
-        root = _bracket_root(fn, 0.0, 1.0, steep(0.0), steep(1.0))
-        assert root in calls
-        assert steep(np.nextafter(root, 0.0)) <= 0.0 <= steep(np.nextafter(root, 1.0))
-        # plain bisection needs about 54 halvings of [0, 1] to get there
-        assert len(calls) < 40
+    @pytest.mark.parametrize("fn", [steep_tanh, convex_expm1],
+                             ids=["steep_tanh", "convex_expm1"])
+    def test_reaches_adjacent_floats_at_an_evaluated_argument(self, fn):
+        root, calls = self.refine(fn, 0.0, 1.0)
+        assert any(root in xs for xs in calls)
+        below, at, above = fn(np.array([np.nextafter(root, 0.0), root,
+                                        np.nextafter(root, 1.0)]))
+        assert at == 0.0 or below * at < 0.0 or at * above < 0.0
+        assert below <= 0.0 <= above
+        assert len(calls) <= self.MAX_CALLS[fn.__name__]
+
+
+class TestBracketRoot(RefinerCases):
+    refiner = staticmethod(_bracket_root)
+    ARGS_PER_CALL = 1
+    # plain bisection needs about 54 halvings of [0, 1] to get there
+    MAX_CALLS = {"steep_tanh": 39, "convex_expm1": 60}
 
     def test_first_secant_point_one_ulp_from_the_root(self):
         # the first secant point of x - 0.116 on [-0.53, 0.63] is the float
         # just below 0.116; the next secant point rounds back onto it
-        fn, calls = self.counted(lambda x: x - 0.116)
-        root = _bracket_root(fn, -0.53, 0.63, -0.53 - 0.116, 0.63 - 0.116)
-        assert calls[0] == np.nextafter(0.116, 0.0)
+        root, calls = self.refine(lambda x: x - 0.116, -0.53, 0.63)
+        assert calls[0][0] == np.nextafter(0.116, 0.0)
         assert root == 0.116
         # plain bisection from there needs about 56 evaluations
         assert len(calls) <= 3
 
-    def test_convex_function_keeps_close_to_bisection(self):
-        # the secant points of expm1(50 (x - 0.3)) on [0, 1] crawl up from 0
-        # while f(1) ~ 1.6e15 is halved about 50 times; bisection takes 54
-        def convex(x):
-            return np.expm1(50.0 * (x - 0.3))
-        fn, calls = self.counted(convex)
-        root = _bracket_root(fn, 0.0, 1.0, convex(0.0), convex(1.0))
-        assert root in calls
-        assert convex(np.nextafter(root, 0.0)) <= 0.0 <= convex(np.nextafter(root, 1.0))
-        assert len(calls) <= 60
-
     def test_nan_when_fn_turns_non_finite(self):
-        fn, calls = self.counted(lambda x: np.nan if x > 0.4 else x - 0.7)
-        assert np.isnan(_bracket_root(fn, 0.0, 1.0, -0.7, 0.3))
+        root, calls = self.refine(lambda x: np.where(x > 0.4, np.nan, x - 0.7), 0.0, 1.0)
+        assert np.isnan(root)
         assert len(calls) == 1
 
 

@@ -17,6 +17,7 @@ from tribvp.problem_file import load_problem, loads
 from tribvp.solver import SWEEP_SHOTS, _refine_batched
 
 from test_acceptance import _admissible_template
+from test_operators import RefinerCases
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
@@ -379,6 +380,14 @@ class TestShooting:
             k = solve_shooting(spec).solution.values[spec.bc.end]
             assert abs(k - expected) <= 1e-13
 
+    def test_scan_in_which_every_shot_dies(self):
+        # u'' grows by 1000 per unit time: every shot leaves the flux range
+        spec = loads("[problem]\nT = 1\nf = 1000\nbc = p1\n").spec
+        with pytest.raises(NoRoot) as info:
+            solve_shooting(spec)
+        assert str(info.value) == "every seed of the scan failed to evaluate"
+        assert info.value.iterations == 2  # the scan on each grid
+
     def test_atan_flux_shots_leaving_the_range_are_nan_rows(self):
         # f = 12 a sin(10 pi t) on h = 0.1: RK4 takes phi(u') from v0 to
         # v0 + 0.8 a and back, and its last stages reach v0 + 1.2 a and
@@ -399,37 +408,11 @@ class TestShooting:
                 assert np.array_equal(us[row], u1) and np.array_equal(vs[row], v1)
 
 
-class TestRefineBatched:
-    @staticmethod
-    def refine(fn, lo, hi):
-        """`_refine_batched` on [lo, hi]; returns the root and the argument
-        arrays of each call of fn."""
-        calls = []
-
-        def counted(xs):
-            calls.append(np.array(xs))
-            return fn(xs)
-        ks = np.array([lo, hi])
-        return _refine_batched(counted, ks, fn(ks), 0), calls
-
-    @pytest.mark.parametrize("fn", [
-        lambda x: np.tanh(1e4 * (x - 1.0 / 3.0)),
-        lambda x: np.expm1(50.0 * (x - 0.3)),
-    ], ids=["steep_tanh", "convex_expm1"])
-    def test_reaches_adjacent_floats_at_an_evaluated_argument(self, fn):
-        root, calls = self.refine(fn, 0.0, 1.0)
-        assert any(root in xs for xs in calls)
-        below, at, above = fn(np.array([np.nextafter(root, 0.0), root,
-                                        np.nextafter(root, 1.0)]))
-        assert at == 0.0 or below * at < 0.0 or at * above < 0.0
-        assert all(xs.size <= SWEEP_SHOTS for xs in calls)
-        # every sweep at least halves the bracket; bisection needs 54 halvings
-        assert len(calls) <= 8
-
-    def test_returns_an_exact_zero(self):
-        root, calls = self.refine(lambda x: x - 0.5, 0.0, 1.0)
-        assert root == 0.5
-        assert len(calls) == 1
+class TestRefineBatched(RefinerCases):
+    refiner = staticmethod(_refine_batched)
+    ARGS_PER_CALL = SWEEP_SHOTS
+    # every sweep at least halves the bracket; bisection needs 54 halvings
+    MAX_CALLS = {"steep_tanh": 8, "convex_expm1": 8}
 
     def test_never_brackets_across_a_nan(self):
         # the only sign change of x - 0.5 is hidden by NaN on (0.4, 0.6)
