@@ -22,11 +22,14 @@ the slope by r and the solution norm by r * (2 + T); see `HypothesisReport`.
 Sampled conditions probe f at points i = 1..N of the R_3 Kronecker sequence
 (shift + i * (g^-1, g^-2, g^-3)) mod 1, g the real root of x^4 = x + 1, mapped
 affinely onto the box; the Cranley-Patterson shift is drawn from the box seed.
+The points are built one contiguous coordinate at a time: a float `%` over
+the strided (N, 3) layout took two thirds of a probe, f's evaluation included.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -68,6 +71,16 @@ class SamplingBox:
     y_span: float = 10.0
     samples: int = 100_000
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.samples >= 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples!r}")
+        for name in ("x_halfwidth", "y_span"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -119,18 +132,25 @@ class HypothesisReport:
 _R3_ALPHA = 1.2207440846057596 ** -np.arange(1.0, 4.0)  # root of x^4 = x + 1
 
 
-def _quasi_random(count: int, seed: int) -> np.ndarray:
+def _quasi_random(count: int, seed: int) -> list[np.ndarray]:
+    """Points 1..count of the shifted R_3 sequence as three contiguous
+    coordinate arrays, bit-identical to (shift + i * _R3_ALPHA) % 1.0 on an
+    (N, 3) array (x - floor(x) is exact for x >= 0) without that strided
+    float `%`, which took two thirds of a probe."""
     shift = np.random.default_rng(seed).random(3)
-    i = np.arange(1, count + 1, dtype=float)[:, None]
-    return (shift + i * _R3_ALPHA) % 1.0
+    i = np.arange(1, count + 1, dtype=float)
+    cols = [i * a + s for a, s in zip(_R3_ALPHA, shift)]
+    for u in cols:
+        u -= np.floor(u)
+    return cols
 
 
 def _probe(spec: ProblemSpec, box: SamplingBox, y_lo: float, y_hi: float,
            seed_shift: int) -> tuple[np.ndarray, ...]:
-    pts = _quasi_random(box.samples, box.seed + seed_shift)
-    t = pts[:, 0] * spec.grid.T
-    x = (2.0 * pts[:, 1] - 1.0) * box.x_halfwidth
-    y = y_lo + pts[:, 2] * (y_hi - y_lo)
+    t, x, y = _quasi_random(box.samples, box.seed + seed_shift)
+    t *= spec.grid.T
+    x = (2.0 * x - 1.0) * box.x_halfwidth
+    y = y_lo + y * (y_hi - y_lo)
     with np.errstate(all="ignore"):
         f = np.broadcast_to(np.asarray(spec.rhs.fn(t, x, y), dtype=float),
                             t.shape).astype(float)
@@ -156,25 +176,25 @@ def check_sign_condition(spec: ProblemSpec, m1: float, m2: float,
     """
     if not m1 < m2:
         raise InvalidThresholds(f"need M1 < M2, got M1={m1!r} M2={m2!r}")
-    t_hi, x_hi, y_hi, f_hi = _probe(spec, box, m2, m2 + box.y_span, seed_shift=1)
-    t_lo, x_lo, y_lo, f_lo = _probe(spec, box, m1 - box.y_span, m1, seed_shift=2)
     total = 2 * box.samples
-
-    for name, (t, x, y, f) in (("y >= M2", (t_hi, x_hi, y_hi, f_hi)),
-                               ("y <= M1", (t_lo, x_lo, y_lo, f_lo))):
+    signs = []
+    for name, y_lo, y_hi, seed_shift in (("y >= M2", m2, m2 + box.y_span, 1),
+                                         ("y <= M1", m1 - box.y_span, m1, 2)):
+        t, x, y, f = _probe(spec, box, y_lo, y_hi, seed_shift)
         if not np.isfinite(f).all():
             j = int(np.argmin(np.isfinite(f)))
             return ConditionVerdict(
                 Verdict.FAIL, f"f not finite on {name}", total,
                 (float(t[j]), float(x[j]), float(y[j])))
-        if _strict_sign(f) == 0:
+        signs.append(_strict_sign(f))
+        if signs[-1] == 0:
             j = int(np.argmin(np.abs(f)))
             return ConditionVerdict(
                 Verdict.FAIL,
                 f"no strict constant sign on {name} (pointwise condition "
                 "violated; the integral form remains undetermined)",
                 total, (float(t[j]), float(x[j]), float(y[j])))
-    if _strict_sign(f_hi) == _strict_sign(f_lo):
+    if signs[0] == signs[1]:
         return ConditionVerdict(
             Verdict.FAIL,
             "same strict sign on both slope ranges; opposite signs required",

@@ -247,6 +247,80 @@ class TestCheck:
         assert "--seed: expected a non-negative integer" in capsys.readouterr().err
 
 
+# The sampled points are bit-identical to those of the (N, 3) remainder
+# formulation the checker first used; this text was recorded with it.
+STEEP_GOLDEN = """\
+sign: sampled-only - opposite strict signs across the thresholds on 200000 samples
+envelope: sampled-only - f >= c(t) on 100000 samples
+width: pass - L + 2||c-||_1 = 0.5072135955 < a = 1
+kappa_in_range: pass - kappa = 0.9 vs admissible (0.5072135955, 1)
+rho_in_range: pass - rho = 1.2 vs minimum 1.182960336
+M1=0
+M2=0.5
+L=0.4472135955
+r=0.5885374805
+||c-||_1=0.03
+rho_min=1.182960336
+kappa_range=(0.5072135955, 1)
+"""
+BOUNDED_GOLDEN = """\
+bound: pass - 0.4 < 0.5
+bound_consistency: sampled-only - max sampled |f| = 0.4 within the asserted bound
+r=1.333333333
+c_bound=0.4
+solution_bound=4
+"""
+OSCILLATING = ("[problem]\nT = 1\nf = sin(3*v) + 0.1*u\nbc = p1\n"
+               "[hypotheses]\nM1 = -1\nM2 = 1\nc_lower = -0.5\n")
+OSCILLATING_TAIL = """\
+width: fail - L + 2||c-||_1 = 1.707106781 >= a = 1; no admissible slope bound exists
+M1=-1
+M2=1
+L=0.7071067812
+||c-||_1=0.5
+"""
+LYING = ("[problem]\nT = 1\nf = 0.45*cos(u) + 0.01*t*v\nbc = p2\n"
+         "[hypotheses]\nc_bound = 0.1\n")
+LYING_TAIL = """\
+r=0.2041241452
+c_bound=0.1
+solution_bound=0.6123724357
+"""
+SIGN_FAIL = ("sign: fail - no strict constant sign on y >= M2 (pointwise condition "
+             "violated; the integral form remains undetermined) at (t, x, y) = ")
+GOLDEN = {
+    ("oscillating", "0"): SIGN_FAIL + "(0.125931, 9.86106, 9.89278)\n"
+    "envelope: fail - f = -1.43788 dips below c = -0.5 at (t, x, y) = "
+    "(0.000684248, -4.73856, -8.8115)\n" + OSCILLATING_TAIL,
+    ("oscillating", "1"): SIGN_FAIL + "(0.132381, -8.54691, 8.71923)\n"
+    "envelope: fail - f = -1.1267 dips below c = -0.5 at (t, x, y) = "
+    "(0.219746, -6.08996, -7.149)\n" + OSCILLATING_TAIL,
+    ("lying", "0"): "bound: pass - 0.1 < 0.5\nbound_consistency: fail - sampled "
+    "|f| reached 0.547261, above the asserted bound at (t, x, y) = "
+    "(0.997887, -0.0613947, 9.83167)\n" + LYING_TAIL,
+    ("lying", "1"): "bound: pass - 0.1 < 0.5\nbound_consistency: fail - sampled "
+    "|f| reached 0.547828, above the asserted bound at (t, x, y) = "
+    "(0.980564, -6.29338, 9.97913)\n" + LYING_TAIL,
+}
+
+
+class TestCheckGolden:
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("path, golden", [(STEEP, STEEP_GOLDEN),
+                                              (BOUNDED, BOUNDED_GOLDEN)],
+                             ids=["steep", "bounded"])
+    def test_demo_output_is_unchanged(self, path, golden, seed, capsys):
+        assert main(["check", path, "--seed", seed]) == 0
+        assert capsys.readouterr().out == golden
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("name, text", [("oscillating", OSCILLATING),
+                                            ("lying", LYING)])
+    def test_counterexamples_are_unchanged(self, name, text, seed, tmp_path,
+                                           capsys):
+        assert main(["check", write(tmp_path, text), "--seed", seed]) == 1
+        assert capsys.readouterr().out == GOLDEN[name, seed]
+
 class TestDegree:
     def test_steep_slope_is_minus_one(self, capsys):
         code = main(["degree", STEEP, "--rho", "1.2", "--kappa", "0.9"])

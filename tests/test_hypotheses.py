@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tribvp import (BoundaryCondition, Grid, HypothesisData, HypothesisFailed,
                     InvalidThresholds, ProblemSpec, RightHandSide, SamplingBox,
-                    Verdict, check_problem, curvature, scaled_atan)
-from tribvp.hypotheses import (_probe, check_bound_p2, check_sign_condition,
-                               compute_bounds_p1)
+                    Verdict, check_problem, curvature, load_problem, scaled_atan)
+from tribvp.hypotheses import (_R3_ALPHA, _probe, _quasi_random, check_bound_p2,
+                               check_sign_condition, compute_bounds_p1)
 
 BOX = SamplingBox(samples=20_000, seed=0)  # smaller box keeps the suite fast
+PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 
 def steep_spec(n=100):
@@ -20,6 +23,16 @@ def steep_spec(n=100):
 def cosine_spec(beta, n=100):
     rhs = RightHandSide(fn=lambda t, u, v: beta * np.cos(u))
     return ProblemSpec(Grid(1.0, n), curvature(), rhs, BoundaryCondition.P2)
+
+
+def counting(spec):
+    """spec with f wrapped to record the number of points of each call."""
+    sizes = []
+
+    def fn(t, u, v):
+        sizes.append(np.size(t))
+        return spec.rhs.fn(t, u, v)
+    return replace(spec, rhs=RightHandSide(fn=fn)), sizes
 
 
 class TestSampler:
@@ -48,6 +61,65 @@ class TestSampler:
         counts = np.bincount(np.ravel_multi_index(cells.T, (10, 10, 10)),
                              minlength=1000)
         assert 75 <= counts.min() and counts.max() <= 130
+
+    @pytest.mark.parametrize("count", [1, 2, 1000, 100_000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_the_remainder_of_the_point_array(self, seed, count):
+        shift = np.random.default_rng(seed).random(3)
+        i = np.arange(1, count + 1, dtype=float)[:, None]
+        reference = (shift + i * _R3_ALPHA) % 1.0
+        cols = _quasi_random(count, seed)
+        assert len(cols) == 3
+        for k, col in enumerate(cols):
+            assert col.flags.c_contiguous and col.shape == (count,)
+            assert col.tobytes() == np.ascontiguousarray(reference[:, k]).tobytes()
+
+    def test_probe_box_map_is_bit_identical_to_the_reference(self):
+        spec = ProblemSpec(Grid(0.37, 10), curvature(),
+                           RightHandSide(fn=lambda t, u, v: t * u - v),
+                           BoundaryCondition.P1)
+        box = SamplingBox(x_halfwidth=3.3, samples=1000, seed=5)
+        shift = np.random.default_rng(box.seed + 2).random(3)
+        i = np.arange(1, box.samples + 1, dtype=float)[:, None]
+        pts = (shift + i * _R3_ALPHA) % 1.0
+        t = pts[:, 0] * 0.37
+        x = (2.0 * pts[:, 1] - 1.0) * 3.3
+        y = -1.7 + pts[:, 2] * (0.9 - -1.7)
+        got = _probe(spec, box, -1.7, 0.9, seed_shift=2)
+        for a, b in zip(got, (t, x, y, t * x - y)):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestSamplingBox:
+    @pytest.mark.parametrize("name, value", [
+        ("samples", 0), ("samples", -3),
+        ("x_halfwidth", 0.0), ("x_halfwidth", -1.0),
+        ("x_halfwidth", math.inf), ("x_halfwidth", math.nan),
+        ("y_span", 0.0), ("y_span", -2.0),
+        ("y_span", math.inf), ("y_span", math.nan),
+        ("seed", -2),
+    ])
+    def test_rejects_unusable_box(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SamplingBox(**{name: value})
+
+    def test_smallest_usable_box(self):
+        box = SamplingBox(x_halfwidth=1e-300, y_span=1e-300, samples=1, seed=0)
+        v = check_sign_condition(steep_spec(), 0.0, 0.5, box)
+        assert v.status is Verdict.SAMPLED_ONLY and v.samples == 2
+
+
+class TestProbeCount:
+    """f is called once per probe, on all of the box's samples at once."""
+
+    @pytest.mark.parametrize("name, calls", [("steep_slope.prob", 3),
+                                             ("bounded_forcing.prob", 1)])
+    def test_full_size_calls_per_check_problem(self, name, calls):
+        doc = load_problem(PROBLEMS / name)
+        spec, sizes = counting(doc.spec)
+        box = SamplingBox()
+        assert check_problem(spec, doc.hypothesis_data, box).passed
+        assert sizes == [box.samples] * calls
 
 
 class TestSignCondition:
@@ -84,6 +156,21 @@ class TestSignCondition:
         assert v.detail == "f not finite on y <= M1"
         t, x, y = v.counterexample
         assert 0.0 <= t <= 1.0 and y <= -1.0
+
+    @pytest.mark.parametrize("fn, detail", [
+        (lambda t, u, v: np.sin(3 * v), "no strict constant sign on y >= M2"),
+        (lambda t, u, v: np.sqrt(-v), "f not finite on y >= M2"),
+    ], ids=["sign", "nan"])
+    def test_failure_on_y_ge_m2_skips_the_y_le_m1_probe(self, fn, detail):
+        spec, sizes = counting(ProblemSpec(Grid(1.0, 50), curvature(),
+                                           RightHandSide(fn=fn),
+                                           BoundaryCondition.P1))
+        v = check_sign_condition(spec, -1.0, 1.0, BOX)
+        assert v.status is Verdict.FAIL
+        assert v.detail.startswith(detail)
+        assert v.samples == 2 * BOX.samples
+        assert v.counterexample[2] >= 1.0
+        assert sizes == [BOX.samples]
 
     def test_thresholds_must_be_ordered(self):
         with pytest.raises(InvalidThresholds):
