@@ -260,34 +260,20 @@ def parse(src: str) -> Node:
 # ----------------------------------------------------------------- evaluator
 
 def evaluate(node: Node, t, u, v):
-    """Value of the tree at (t, u, v), scalars or numpy arrays, through the
-    same compiled function as `as_callable`."""
-    return as_callable(node)(t, u, v)
+    """Value of the tree at (t, u, v) through `as_callable`, with the
+    arguments made float arrays and a 0-d result made a python float."""
+    t, u, v = (np.asarray(a, dtype=float) for a in (t, u, v))
+    out = np.asarray(as_callable(node)(t, u, v), dtype=float)
+    return float(out) if out.ndim == 0 else out
 
 
 def as_callable(node: Node) -> Callable:
-    """Compile the tree into a plain python function (t, u, v) -> value.
-
-    Arguments are coerced with np.asarray so mixed scalar/array calls
-    broadcast; a scalar result is handed back as a python float.  The
-    function's `source` attribute is the emitted numpy expression in t, u
-    and v, for callers that compile f into code of their own.
-    """
-    body = _emit(node)
+    """Compile the tree into a plain python function (t, u, v) -> value that
+    evaluates the emitted numpy expression and nothing else: no argument or
+    result coercion (`evaluate` and `RightHandSide.__call__` add it)."""
     namespace = {"np": np}
-    code = (
-        "def _compiled(t, u, v):\n"
-        "    t = np.asarray(t, dtype=float)\n"
-        "    u = np.asarray(u, dtype=float)\n"
-        "    v = np.asarray(v, dtype=float)\n"
-        f"    _r = {body}\n"
-        "    _r = np.asarray(_r, dtype=float)\n"
-        "    return float(_r) if _r.ndim == 0 else _r\n"
-    )
-    exec(code, namespace)
-    fn = namespace["_compiled"]
-    fn.source = body
-    return fn
+    exec(f"def _compiled(t, u, v):\n    return {_emit(node)}\n", namespace)
+    return namespace["_compiled"]
 
 
 def _emit(node: Node) -> str:

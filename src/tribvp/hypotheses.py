@@ -151,10 +151,7 @@ def _probe(spec: ProblemSpec, box: SamplingBox, y_lo: float, y_hi: float,
     t *= spec.grid.T
     x = (2.0 * x - 1.0) * box.x_halfwidth
     y = y_lo + y * (y_hi - y_lo)
-    with np.errstate(all="ignore"):
-        f = np.broadcast_to(np.asarray(spec.rhs.fn(t, x, y), dtype=float),
-                            t.shape).astype(float)
-    return t, x, y, f
+    return t, x, y, spec.rhs(t, x, y)
 
 
 def _strict_sign(f: np.ndarray) -> int:

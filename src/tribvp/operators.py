@@ -69,6 +69,14 @@ class RightHandSide:
 
     fn: Callable[[Any, Any, Any], Any]
 
+    def __call__(self, t, x, y) -> np.ndarray:
+        """f as a float array of the broadcast shape of (t, x, y), inf or NaN
+        where f cannot evaluate, with numpy's warnings silenced."""
+        with np.errstate(all="ignore"):
+            vals = np.asarray(self.fn(t, x, y), dtype=float)
+        shape = np.broadcast(t, x, y).shape
+        return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -81,9 +89,7 @@ class ProblemSpec:
 def nemytskii(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
     """Node-wise evaluation f(t_i, u(t_i), u'(t_i))."""
     t = spec.grid.nodes
-    with np.errstate(all="ignore"):
-        raw = np.asarray(spec.rhs.fn(t, u.values, u.derivs), dtype=float)
-    out = np.broadcast_to(raw, t.shape).astype(float)
+    out = spec.rhs(t, u.values, u.derivs)
     finite = np.isfinite(out)
     if not finite.all():
         node = int(np.argmin(finite))
@@ -101,10 +107,8 @@ def affine_mean(spec: ProblemSpec, x, y) -> np.ndarray:
     x = np.expand_dims(x, -1) if np.ndim(x) else x
     y = np.expand_dims(y, -1) if np.ndim(y) else y
     u = x + y * (t - t[spec.bc.end])
+    vals = spec.rhs(t, u, y)
     with np.errstate(all="ignore"):
-        vals = np.asarray(spec.rhs.fn(t, u, y), dtype=float)
-        if vals.shape != u.shape:
-            vals = np.broadcast_to(vals, u.shape)
         mean = _trapz(spec.grid, vals) / spec.grid.T
         return mean + 0.0 * mean  # 0 * inf is NaN; finite means pass unchanged
 

@@ -364,6 +364,11 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
     that shape plus one trailing axis of n + 1 nodes.  A shot whose stage
     needs phi^{-1} outside (-a, a), or whose values turn non-finite, comes
     back as a row of NaN.  A single scalar shot raises StepRejected instead.
+
+    Each stage calls spec.rhs.fn once, as f(t, u, u') with t a float and u,
+    u' arrays over the shots (4 n calls a sweep); a scalar f broadcasts in
+    the RK4 arithmetic.  phi^{-1} is never finite outside (-a, a), so a shot
+    that leaves the range dies without a mask in the stage.
     """
     grid = spec.grid
     phi = spec.phi
@@ -374,7 +379,11 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
     u0, slope0 = np.broadcast_arrays(np.asarray(u0, dtype=float),
                                      np.asarray(slope0, dtype=float))
     shape = u0.shape
-    stage = _rk4_stage(spec)
+    f, inv = spec.rhs.fn, phi.inv_fn
+
+    def stage(t, u, y):
+        v = inv(y)
+        return v, f(t, u, v)
 
     order = np.arange(n, -1, -1) if backward else np.arange(n + 1)
     us = np.full((n + 1, u0.size), np.nan)
@@ -405,21 +414,6 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
     us[:, dead] = np.nan
     vs[:, dead] = np.nan
     return us.T.reshape(shape + (n + 1,)), vs.T.reshape(shape + (n + 1,))
-
-
-def _rk4_stage(spec: ProblemSpec):
-    """The stage function (t, u, y) -> (u', y') of the first-order system,
-    compiled from source.  An f compiled from an expression (`as_callable`)
-    has its numpy source inlined, with no argument coercion and no 0-d
-    results; any other callable is called as f(t, u, v).  phi^{-1} is never
-    finite outside (-a, a), so a shot that leaves the range dies without a
-    mask here."""
-    f = spec.rhs.fn
-    namespace = {"np": np, "inv": spec.phi.inv_fn, "f": f}
-    exec("def stage(t, u, y):\n"
-         "    v = inv(y)\n"
-         f"    return v, {getattr(f, 'source', 'f(t, u, v)')}\n", namespace)
-    return namespace["stage"]
 
 
 def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> SolveReport:

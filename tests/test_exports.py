@@ -1,6 +1,7 @@
 """Every exported name resolves: a deleted function cannot leave its export
 behind.  Every private module-level name is used: a consolidation cannot leave
-a helper behind."""
+a helper behind.  exec runs in one place: a second code generator cannot
+come back silently."""
 
 import ast
 import importlib
@@ -67,3 +68,23 @@ def test_every_private_name_is_used():
                          for where, statement, bare, qualified in uses
                          if statement is not node)]
     assert unused == []
+
+
+def _exec_sites(node, where):
+    """where.f.g for each call of exec inside function g nested in f."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _exec_sites(child, f"{where}.{child.name}")
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "exec"):
+            yield where
+        yield from _exec_sites(child, where)
+
+
+def test_exec_runs_in_as_callable_alone():
+    # one code generator for f: a second one could evaluate f differently
+    # from the compiled function every caller shares
+    sites = [site for module, tree in SOURCES.items()
+             for site in _exec_sites(tree, module)]
+    assert sites == ["expressions.as_callable"]

@@ -101,6 +101,14 @@ def test_as_callable_broadcasts():
     assert isinstance(fn(0.0, 1.0, 2.0), float)
 
 
+def test_evaluate_coerces_arguments_and_a_0d_result():
+    # as_callable adds no coercion, so evaluate is the one place that has it
+    out = evaluate(parse("u + v"), 1, [1, 2], 3)
+    assert isinstance(out, np.ndarray) and out.dtype == float
+    assert np.array_equal(out, [4.0, 5.0])
+    assert type(evaluate(parse("t"), 1, 0, 0)) is float
+
+
 def test_syntax_errors_carry_offsets():
     with pytest.raises(ExpressionSyntaxError) as info:
         parse("1 + * 2")

@@ -12,6 +12,7 @@ from tribvp import (BoundaryCondition, Grid, GridFunction, NonFinite,
                     RightHandSide, affine_mean, balancing_shift, curvature,
                     fixed_point_map, mean_value, nemytskii, residual,
                     running_integral, running_integral_from_end, scaled_atan)
+from tribvp.expressions import as_callable, evaluate, parse
 from tribvp.operators import _bracket_root, _trapz
 
 
@@ -68,6 +69,44 @@ def test_nemytskii_names_the_first_non_finite_node():
         nemytskii(spec, u)
     assert "returned nan at t=0.625 (node 5)" in str(info.value)
     assert info.value.node == 5
+
+
+class TestRightHandSideCall:
+    """`RightHandSide.__call__`, the array entry point that nemytskii,
+    affine_mean and the sampler share; as_callable's f is not coerced."""
+
+    T = np.linspace(0.0, 1.0, 9)
+    ARGS = {
+        "nodes": (T, np.linspace(-1.0, 1.0, 9), np.linspace(0.5, -0.5, 9)),
+        # affine_mean's (k, n + 1) lines, with one slope per row
+        "lines": (T, np.linspace(-1.0, 1.0, 27).reshape(3, 9),
+                  np.array([[-0.5], [0.0], [0.5]])),
+    }
+
+    @pytest.mark.parametrize("args", ARGS, ids=list(ARGS))
+    @pytest.mark.parametrize("src", ["1000", "2*t + 1",
+                                     "atan(v - 0.1) + 0.5*cos(6.283*t)*(1 + 0.1*sin(u))"])
+    def test_float_array_of_the_broadcast_shape(self, src, args):
+        fn = as_callable(parse(src))
+        out = RightHandSide(fn=fn)(*self.ARGS[args])
+        want = np.asarray(fn(*self.ARGS[args]), dtype=float)
+        assert out.dtype == float
+        assert out.shape == np.broadcast(*self.ARGS[args]).shape
+        assert np.broadcast_to(want, out.shape).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("src", ["0/0", "log(u)"])
+    def test_nan_without_a_warning(self, src):
+        # pytest turns any warning into an error
+        rhs = RightHandSide(fn=as_callable(parse(src)))
+        assert np.isnan(rhs(self.T, np.full(9, -1.0), np.zeros(9))).all()
+
+    @pytest.mark.parametrize("src", ["1000", "2*t + 1"])
+    def test_nemytskii_returns_one_float_per_node(self, src):
+        spec = make_spec(n=8, f=as_callable(parse(src)))
+        out = nemytskii(spec, GridFunction(spec.grid, np.zeros(9), np.zeros(9)))
+        want = evaluate(parse(src), spec.grid.nodes, 0.0, 0.0)
+        assert out.shape == (9,) and out.dtype == float
+        assert np.array_equal(out, np.broadcast_to(want, (9,)))
 
 
 class TestBalancingShift:
