@@ -12,11 +12,12 @@ The oracle route never touches those maps: it rewrites the equation as the
 first-order system u' = phi^{-1}(v), v' = f(t, u, phi^{-1}(v)) and shoots with
 a fixed-step classical Runge-Kutta integrator.  Each boundary condition ties
 three boundary quantities to one shared value k, so every case is a scalar
-equation in k.  Every evaluation of it is a batched sweep of shots.  The root
-is first found on a grid eight times coarser: a scan of k finds a sign
-change, and a few more sweeps, each placing its shots geometrically around
-an interpolated root estimate, narrow it to adjacent floats.  On the
-problem's own grid one sweep around that root brackets it again, and the
+equation in k.  Every evaluation of it is a batched sweep of shots.  As for
+the lambda = 0 seed, a scan of k finds a sign change on the `_coarse` grid,
+eight times coarser, and the root is finished on the problem's own grid: the
+seed's by `_bracket_root`, and the shooting root by sweeps placed
+geometrically around an interpolated root estimate, which narrow the coarse
+root to adjacent floats; one fine sweep around it brackets it again, and the
 same refinement finishes there.  Agreement between the two routes is the
 package's main self-check.
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,7 +54,7 @@ __all__ = [
 
 SEED_RADIUS = 2.0    # the seed scans k in [-2, 2], shooting in [-3, 3]
 SWEEP_SHOTS = 64     # shots per shooting sweep, the scan's and each refining one
-COARSENING = 8       # shooting finds its root first on n // 8 intervals ...
+COARSENING = 8       # the seed and shooting scan first on n // 8 intervals ...
 MIN_COARSE_N = 16    # ... but on no fewer than 16
 NEAR_REACH = 1e-6    # the fine sweep around the coarse root reaches 1e-6 max(1, |k|)
 BACKENDS = ("fixed-point", "shooting", "both")
@@ -164,21 +166,36 @@ def _affine(spec: ProblemSpec, k: float) -> GridFunction:
 
 def _seed(spec: ProblemSpec) -> GridFunction:
     """Solution of the lambda = 0 problem: zero for p2; for p1/p1t the line
-    `_affine(spec, k)` along which `affine_mean` vanishes, k scanned in one
-    call."""
+    `_affine(spec, k)` along which `affine_mean` vanishes.  k is scanned on
+    the `_coarse` grid, then finished on the problem's grid in the first
+    sign change, or scanned there if that finds no root.  That root differs
+    from the fine scan's only where the coarse mean misses an earlier fine
+    sign change yet the interval's fine ends straddle (or one is ~0)."""
     grid = spec.grid
     if spec.bc is BoundaryCondition.P2:
         zero = np.zeros(grid.n + 1)
         return GridFunction(grid, zero, zero)
     r = SEED_RADIUS
+    scan = np.linspace(-r, r, 65)
+    mean = lambda ks: affine_mean(spec, ks, ks)
+    coarse = _coarse(spec)
+    starts = _sign_changes(affine_mean(coarse, scan, scan)) if coarse else []
+    for i in starts[:1]:  # the first coarse sign change only
+        with suppress(NoRoot):
+            return _affine(spec, _scan_root(mean, scan[i:i + 2], _bracket_root))
     try:
-        k_root = _scan_root(lambda ks: affine_mean(spec, ks, ks),
-                            np.linspace(-r, r, 65), _bracket_root)
+        k_root = _scan_root(mean, scan, _bracket_root)
     except NoRoot as exc:
         raise HypothesisFailed(
             f"seeding failed: the reduced scalar equation has no sign change "
             f"for k in [-{r:g}, {r:g}]") from exc
     return _affine(spec, k_root)
+
+
+def _coarse(spec: ProblemSpec) -> ProblemSpec | None:
+    """spec on max(n // COARSENING, MIN_COARSE_N) intervals; None if not coarser."""
+    n = max(spec.grid.n // COARSENING, MIN_COARSE_N)
+    return replace(spec, grid=Grid(spec.grid.T, n)) if n < spec.grid.n else None
 
 
 def _pack(u: GridFunction) -> np.ndarray:
@@ -268,8 +285,7 @@ def _scan_root(fn, ks: np.ndarray, refine) -> float:
     valid = np.isfinite(vals)
     if not valid.any():
         raise NoRoot("every seed of the scan failed to evaluate")
-    starts = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
-    for i in np.flatnonzero(starts):
+    for i in _sign_changes(vals):
         if vals[i] == 0.0:
             return float(ks[i])
         root = refine(fn, ks, vals, int(i))
@@ -282,6 +298,11 @@ def _scan_root(fn, ks: np.ndarray, refine) -> float:
     raise NoRoot(
         f"no sign change among {int(valid.sum())} valid seeds in "
         f"[{ks[0]:g}, {ks[-1]:g}] (smallest |value| {magnitude[best]:.3g})")
+
+
+def _sign_changes(vals: np.ndarray) -> np.ndarray:
+    """Ascending i where vals[i] is 0 or vals[i] vals[i + 1] < 0."""
+    return np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
 
 
 def _sweep_around(x: float, nearest: float, farthest: float,
@@ -456,10 +477,9 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
 
     # k_root is always an argument of a fine sweep, so `shots` holds its shot
     scan = np.linspace(-SEED_RADIUS - 1.0, SEED_RADIUS + 1.0, SWEEP_SHOTS)
-    n_coarse = max(spec.grid.n // COARSENING, MIN_COARSE_N)
+    coarse = _coarse(spec)
     k_root = math.nan
-    if n_coarse < spec.grid.n:
-        coarse = replace(spec, grid=Grid(spec.grid.T, n_coarse))
+    if coarse is not None:
         try:
             k = _scan_root(lambda ks: mismatch(ks, coarse), scan, _refine_batched)
             near = _sweep_around(k, np.finfo(float).eps, NEAR_REACH, max(1.0, abs(k)))

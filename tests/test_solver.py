@@ -13,6 +13,7 @@ from tribvp import (BoundaryCondition, Grid, HypothesisFailed, NoConvergence,
                     scaled_atan, shoot_ivp, solve, solve_fixed_point,
                     solve_shooting)
 
+from tribvp.operators import _bracket_root
 from tribvp.problem_file import load_problem, loads
 from tribvp.solver import SWEEP_SHOTS, _refine_batched
 
@@ -201,7 +202,7 @@ class TestContinuation:
             solve_fixed_point(cosine(), SolveOptions(max_iters=3))
         assert levels == [1.0]
 
-    def test_seed_scan_is_one_call(self):
+    def test_seed_scan_is_one_call_per_level(self):
         spec = template(200)
         calls = 0
 
@@ -214,6 +215,69 @@ class TestContinuation:
         assert calls <= 10
         assert seed.values[0] == seed.derivs[0] == seed.derivs[-1]
         assert abs(affine_mean(spec, seed.values[0], seed.derivs[0])) <= 1e-12
+
+    @staticmethod
+    def full_scan_seed(spec):
+        """The seed of a 65-point scan on the problem's own grid."""
+        k = tribvp.solver._scan_root(lambda ks: affine_mean(spec, ks, ks),
+                                     np.linspace(-2, 2, 65), _bracket_root)
+        return tribvp.solver._affine(spec, k)
+
+    @staticmethod
+    def assert_same_line(got, want):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.derivs.tobytes() == want.derivs.tobytes()
+
+    @pytest.mark.parametrize("source,bc", [
+        *((n, bc) for n in (200, 800, 3200)
+          for bc in (BoundaryCondition.P1, BoundaryCondition.P1T)),
+        ("steep_slope", BoundaryCondition.P1), ("steep_slope", BoundaryCondition.P1T),
+        # p2 on file, whose seed is zero; its mean has a root only under p1
+        ("bounded_forcing", BoundaryCondition.P1)])
+    def test_seed_equals_full_fine_scan(self, source, bc):
+        if isinstance(source, int):
+            spec = template(source)
+        else:
+            spec = load_problem(PROBLEMS / f"{source}.prob").spec
+        spec = replace(spec, bc=bc)
+        self.assert_same_line(tribvp.solver._seed(spec), self.full_scan_seed(spec))
+
+    @pytest.mark.parametrize("amplitude", [5.0, 0.5])
+    def test_seed_falls_back_to_full_fine_scan(self, amplitude):
+        """f = v + A cos(2 pi n_c t / T) is v + A on the n_c-interval coarse
+        grid, and its trapezoid mean on the problem's grid is k up to rounding.
+        A = 5 leaves the coarse mean no sign change in [-2, 2]; A = 0.5 gives
+        one whose fine ends do not straddle zero.  Both must fall back."""
+        T = 1.0
+
+        def aliased(t, u, v):
+            return v + amplitude * np.cos(2 * np.pi * n_c * t / T)
+
+        spec = ProblemSpec(Grid(T, 800), curvature(), RightHandSide(fn=aliased),
+                           BoundaryCondition.P1)
+        coarse = tribvp.solver._coarse(spec)
+        n_c = coarse.grid.n
+        ks = np.linspace(-2, 2, 65)
+        assert np.abs(affine_mean(coarse, ks, ks) - (ks + amplitude)).max() < 1e-12
+        seed = tribvp.solver._seed(spec)
+        self.assert_same_line(seed, self.full_scan_seed(spec))
+        assert abs(seed.derivs[0]) < 1e-12
+
+    def test_seed_scans_off_the_problem_grid(self):
+        """No call of f made by the seed gets the 65 lines on the problem's
+        grid: the scan runs on the coarse grid, the fine grid sees at most
+        the two ends of one interval at a time."""
+        spec = template(800)
+        shapes = []
+
+        def recording(t, u, v):
+            shapes.append(np.shape(u))
+            return spec.rhs.fn(t, u, v)
+
+        tribvp.solver._seed(replace(spec, rhs=RightHandSide(fn=recording)))
+        fine = [shape for shape in shapes if shape[-1] == 801]
+        assert (65, 101) in shapes and fine
+        assert all(shape[0] <= 2 for shape in fine)
 
 
 class TestShooting:
