@@ -18,8 +18,10 @@ eight times coarser, and the root is finished on the problem's own grid: the
 seed's by `_bracket_root`, and the shooting root by sweeps placed
 geometrically around an interpolated root estimate, which narrow the coarse
 root to adjacent floats; one fine sweep around it brackets it again, and the
-same refinement finishes there.  Agreement between the two routes is the
-package's main self-check.
+same refinement finishes there.  A shot whose flux leaves (-a, a) gets a NaN
+u at its next stage and keeps it, so a sweep runs to its end, even when every
+shot dies, and decides there which died.
+Agreement between the two routes is the package's main self-check.
 
 Every scalar equation, the lambda = 0 seed, the p2 balancing constant in
 `operators` and the shooting mismatch, is solved under one contract.  fn maps
@@ -99,7 +101,9 @@ class SolveReport:
     `iterations` counts the fixed-point map evaluations of the accepted
     stages for the fixed-point backend, and the sweeps (calls of `shoot_ivp`)
     for the shooting backend, on the coarse grid and on the problem's grid
-    alike; `cross_validate` reports the sum.
+    alike; `cross_validate` reports the sum.  `solution_family` is the
+    fixed-point route's flag (f == 0 under p1/p1t sets it): the shooting
+    backend reports False, and `cross_validate` copies the fixed-point value.
 
     For the fixed-point backend `residuals.c1` is the fixed-point defect and
     is <= tol on success.  For the shooting backend it is the boundary
@@ -382,14 +386,15 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
 
     u0 and slope0 broadcast against each other, and every shot of the
     broadcast shape is integrated in the same sweep: the returned arrays have
-    that shape plus one trailing axis of n + 1 nodes.  A shot whose stage
-    needs phi^{-1} outside (-a, a), or whose values turn non-finite, comes
-    back as a row of NaN.  A single scalar shot raises StepRejected instead.
+    that shape plus one trailing axis of n + 1 nodes.
 
     Each stage calls spec.rhs.fn once, as f(t, u, u') with t a float and u,
-    u' arrays over the shots (4 n calls a sweep); a scalar f broadcasts in
-    the RK4 arithmetic.  phi^{-1} is never finite outside (-a, a), so a shot
-    that leaves the range dies without a mask in the stage.
+    u' arrays over the shots (4 n calls a sweep, even if every shot dies); a
+    scalar f broadcasts in the RK4 arithmetic.  phi^{-1} is never finite
+    outside (-a, a), so a shot whose flux leaves it gets a non-finite u at
+    its next stage for good.  After the sweep, a shot with a non-finite u or
+    |v| >= a at its last node is dead: a row of NaN, or StepRejected for a
+    single scalar shot, at the first node where that rule fails.
     """
     grid = spec.grid
     phi = spec.phi
@@ -407,8 +412,8 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
         return v, f(t, u, v)
 
     order = np.arange(n, -1, -1) if backward else np.arange(n + 1)
-    us = np.full((n + 1, u0.size), np.nan)
-    vs = np.full_like(us, np.nan)
+    us = np.empty((n + 1, u0.size))
+    vs = np.empty_like(us)
     us[order[0]] = u0.ravel()
     vs[order[0]] = phi.forward(slope0.ravel())
     with np.errstate(all="ignore"):
@@ -419,19 +424,17 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
             k2u, k2v = stage(t0 + 0.5 * h, uu + 0.5 * h * k1u, vv + 0.5 * h * k1v)
             k3u, k3v = stage(t0 + 0.5 * h, uu + 0.5 * h * k2u, vv + 0.5 * h * k2v)
             k4u, k4v = stage(t0 + h, uu + h * k3u, vv + h * k3v)
-            u_next = uu + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v_next = vv + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            alive = (np.abs(v_next) < a) & np.isfinite(u_next)
-            us[j] = u_next
-            vs[j] = np.where(alive, v_next, np.nan)
-            if not alive.any():
-                if not shape:
-                    raise StepRejected(
-                        f"the shot left the flux range (-{a:g}, {a:g}) or turned "
-                        f"non-finite between t = {t0:.6g} and t = "
-                        f"{float(t_nodes[j]):.6g}", time=float(t_nodes[j]))
-                break
-    dead = np.isnan(vs[order[-1]])
+            us[j] = uu + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            vs[j] = vv + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        ok = np.isfinite(us) & (np.abs(vs) < a)
+    dead = ~ok[order[-1]]
+    if not shape and dead[0]:
+        first = int(np.argmin(ok[order[1:], 0]))  # the step the shot died in
+        i, j = order[first], order[first + 1]
+        raise StepRejected(
+            f"the shot left the flux range (-{a:g}, {a:g}) or turned non-finite "
+            f"between t = {float(t_nodes[i]):.6g} and t = {float(t_nodes[j]):.6g}",
+            time=float(t_nodes[j]))
     us[:, dead] = np.nan
     vs[:, dead] = np.nan
     return us.T.reshape(shape + (n + 1,)), vs.T.reshape(shape + (n + 1,))
@@ -495,28 +498,24 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     us, vs = shots[k_root]
     u = GridFunction(spec.grid, us, phi.inverse(vs))
     rep = ResidualReport(abs(float(matched(us, vs)) - k_root), bc_defects(bc, u))
-    return SolveReport(
-        solution=u, residuals=rep, iterations=sweeps,
-        lambda_path=(), backend="shooting",
-        solution_family=_family_flag(spec, u, opts))
+    return SolveReport(solution=u, residuals=rep, iterations=sweeps,
+                       lambda_path=(), backend="shooting")
 
 
 # ----------------------------------------------------------- cross validation
 
 def cross_validate(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> SolveReport:
-    """Run both routes and compare.  Returns the fixed-point report augmented
-    with the sup-distance between the two solutions (values and derivatives).
-    Disagreement beyond 100 * tol is flagged, except for detected solution
-    families where both routes legitimately pick different members."""
+    """Run both routes and compare.  Returns the fixed-point report with
+    backend_agreement = max(sup|du|, sup|du'|) between the two solutions.
+    Disagreement beyond 100 * tol is flagged, unless the fixed-point route
+    detects a solution family, whose members the routes may pick apart."""
     fp = solve_fixed_point(spec, opts)
     sh = solve_shooting(spec, opts)
     gap_vals = float(np.abs(fp.solution.values - sh.solution.values).max())
     gap_ders = float(np.abs(fp.solution.derivs - sh.solution.derivs).max())
     agreement = max(gap_vals, gap_ders)
-    family = fp.solution_family or sh.solution_family
-    flagged = (not family) and agreement > 100.0 * opts.tol
+    flagged = (not fp.solution_family) and agreement > 100.0 * opts.tol
     return replace(fp, backend="both",
                    iterations=fp.iterations + sh.iterations,
-                   solution_family=family,
                    backend_agreement=agreement,
                    disagreement_flagged=flagged)

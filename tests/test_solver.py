@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tribvp.operators
 import tribvp.solver
 from tribvp import (BoundaryCondition, Grid, HypothesisFailed, NoConvergence,
                     NoRoot, ProblemSpec, RangeViolation, RightHandSide, SolveOptions,
@@ -378,6 +379,29 @@ class TestShooting:
         assert max(sh.residuals.bc_defects) < 1e-10
 
 
+    @pytest.mark.parametrize("source", ["steep_slope", "bounded_forcing", "zero-p1"])
+    def test_oracle_calls_no_fixed_point_map(self, source, monkeypatch):
+        if source == "zero-p1":  # a family: every k solves
+            spec = ProblemSpec(Grid(1.0, 64), curvature(),
+                               RightHandSide(fn=lambda t, u, v: 0.0 * t),
+                               BoundaryCondition.P1)
+        else:
+            spec = load_problem(PROBLEMS / f"{source}.prob").spec
+        calls = []
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+        for module in (tribvp.solver, tribvp.operators):
+            for name in ("residual", "fixed_point_map", "nemytskii"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        rep = solve_shooting(spec)
+        assert calls == []
+        assert not rep.solution_family  # the fixed-point route's flag alone
+
     @pytest.mark.parametrize("name", ["steep_slope", "bounded_forcing"])
     def test_demo_files_shoot_at_most_three_grids_of_steps(self, name, monkeypatch):
         doc = load_problem(PROBLEMS / f"{name}.prob")
@@ -444,13 +468,48 @@ class TestShooting:
             k = solve_shooting(spec).solution.values[spec.bc.end]
             assert abs(k - expected) <= 1e-13
 
-    def test_scan_in_which_every_shot_dies(self):
+    def test_scan_in_which_every_shot_dies(self, monkeypatch):
         # u'' grows by 1000 per unit time: every shot leaves the flux range
         spec = loads("[problem]\nT = 1\nf = 1000\nbc = p1\n").spec
+        f = spec.rhs.fn
+        sweeps = []  # (intervals, calls of f) per sweep
+
+        def counted(t, u, v):
+            sweeps[-1][1] += 1
+            return f(t, u, v)
+
+        def sweep(on, *args, **kwargs):
+            sweeps.append([on.grid.n, 0])
+            return shoot_ivp(replace(on, rhs=RightHandSide(fn=counted)), *args, **kwargs)
+        monkeypatch.setattr(tribvp.solver, "shoot_ivp", sweep)
         with pytest.raises(NoRoot) as info:
             solve_shooting(spec)
         assert str(info.value) == "every seed of the scan failed to evaluate"
         assert info.value.iterations == 2  # the scan on each grid
+        # a sweep runs to its end even when every shot has died
+        assert sweeps == [[n, 4 * n] for n in (spec.grid.n // 8, spec.grid.n)]
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_shot_dying_in_the_last_step(self, backward):
+        # f = 60 within 0.03 of the last node only: the last step's first three
+        # RK4 stages see f = 0 and the fourth the unchanged flux v0, so every
+        # stage stays inside (-1, 1) and u stays finite; only the step's
+        # result, v0 + 1 (forward) or v0 - 1 (backward), leaves the range
+        end = 0.0 if backward else 1.0
+        spec = ProblemSpec(Grid(1.0, 10), curvature(),
+                           RightHandSide(fn=lambda t, u, v:
+                                         np.where(abs(t - end) < 0.03, 60.0, 0.0) + 0 * u),
+                           BoundaryCondition.P1)
+        v0 = (-1.0 if backward else 1.0) * np.array([-0.5, 0.5, -0.2])
+        slopes = curvature().inverse(v0)
+        us, vs = shoot_ivp(spec, 0.0, slopes, backward=backward)
+        assert np.isnan(us[1]).all() and np.isnan(vs[1]).all()
+        for row in (0, 2):
+            u1, v1 = shoot_ivp(spec, 0.0, slopes[row], backward=backward)
+            assert np.array_equal(us[row], u1) and np.array_equal(vs[row], v1)
+        with pytest.raises(StepRejected) as info:
+            shoot_ivp(spec, 0.0, slopes[1], backward=backward)
+        assert info.value.time == end
 
     def test_atan_flux_shots_leaving_the_range_are_nan_rows(self):
         # f = 12 a sin(10 pi t) on h = 0.1: RK4 takes phi(u') from v0 to
