@@ -73,8 +73,9 @@ class NoConvergence(BvpError):
 
 
 class NoRoot(BvpError):
-    """A root scan found no sign change to refine.  `iterations` counts the
-    sweeps a shooting solve took before giving up."""
+    """A root scan found no root: no sign change, or none its refiner could
+    narrow (the message says which).  `iterations` counts the sweeps a
+    shooting solve took before giving up."""
 
     def __init__(self, message: str, *, iterations: int = 0):
         super().__init__(message)

@@ -14,22 +14,25 @@ a fixed-step classical Runge-Kutta integrator.  Each boundary condition ties
 three boundary quantities to one shared value k, so every case is a scalar
 equation in k.  Every evaluation of it is a batched sweep of shots.  As for
 the lambda = 0 seed, a scan of k finds a sign change on the `_coarse` grid,
-eight times coarser, and the root is finished on the problem's own grid: the
-seed's by `_bracket_root`, and the shooting root by sweeps placed
-geometrically around an interpolated root estimate, which narrow the coarse
-root to adjacent floats; one fine sweep around it brackets it again, and the
-same refinement finishes there.  A shot whose flux leaves (-a, a) gets a NaN
-u at its next stage and keeps it, so a sweep runs to its end, even when every
-shot dies, and decides there which died.
+eight times coarser, and the root is finished on the problem's own grid.
+The seed's is finished by `_bracket_root`.  The shooting root is first
+narrowed to adjacent floats on the coarse grid, by sweeps placed
+geometrically around an interpolated root estimate; then one sweep on the
+problem's grid, close around it, brackets it again, and the solution
+interpolates the two shots of that bracket.  A shot whose flux leaves (-a, a)
+gets a NaN u at its next stage and keeps it, so a sweep runs to its end, even
+when every shot dies, and decides there which died.
 Agreement between the two routes is the package's main self-check.
 
 Every scalar equation, the lambda = 0 seed, the p2 balancing constant in
 `operators` and the shooting mismatch, is solved under one contract.  fn maps
 an array of arguments to an array of values, NaN where it cannot evaluate,
 and `_scan_root` finds a sign change.  A refiner refine(fn, ks, vals, i)
-narrows the bracket [ks[i], ks[i + 1]] and returns an argument it evaluated,
-or NaN: `operators._bracket_root` calls fn with one argument at a time,
-`_refine_batched` with a sweep of up to SWEEP_SHOTS.
+returns a root for the bracket [ks[i], ks[i + 1]], or NaN.
+`operators._bracket_root` and `_refine_batched` narrow it and return an
+argument they evaluated: the first calls fn with one argument at a time, the
+second with a sweep of up to SWEEP_SHOTS.  The refiner of the shooting
+route's fine sweep calls fn not at all (see `solve_shooting`).
 """
 
 from __future__ import annotations
@@ -67,8 +70,10 @@ MIN_LAMBDA_STEP = 1.0 / 64  # smallest continuation step before giving up
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for both routes.  max_iters bounds the map evaluations of each
-    lambda-stage."""
+    """`backend` picks the route `solve` runs.  tol and max_iters are the
+    fixed-point route's: tol bounds its defect (and `cross_validate` flags a
+    disagreement beyond 100 tol), max_iters the map evaluations of each
+    lambda-stage.  The shooting route reads neither."""
 
     tol: float = 1e-10
     max_iters: int = 5000
@@ -107,9 +112,10 @@ class SolveReport:
 
     For the fixed-point backend `residuals.c1` is the fixed-point defect and
     is <= tol on success.  For the shooting backend it is the boundary
-    matching defect of the shot (the integrator satisfies its own difference
-    equations exactly, so the operator metric would only measure the gap
-    between two discretizations).
+    matching defect of the solution, which interpolates two adjacent shots
+    (see `solve_shooting`): the defect of the interpolant, not of either shot.
+    (The integrator satisfies its own difference equations exactly, so the
+    operator metric would only measure the gap between two discretizations.)
     """
 
     solution: GridFunction
@@ -284,12 +290,14 @@ def _scan_root(fn, ks: np.ndarray, refine) -> float:
     contract of the module docstring: the first seed whose value is exactly
     zero, or the root `refine` finds in the first sign change it can narrow,
     whichever comes first.  Failing both, a seed whose value is numerically
-    zero (covers flat one-parameter families); NoRoot otherwise."""
+    zero (covers flat one-parameter families); NoRoot otherwise, whose
+    message counts the sign changes `refine` could not narrow, if any."""
     vals = np.asarray(fn(ks), dtype=float)
     valid = np.isfinite(vals)
     if not valid.any():
         raise NoRoot("every seed of the scan failed to evaluate")
-    for i in _sign_changes(vals):
+    changes = _sign_changes(vals)
+    for i in changes:
         if vals[i] == 0.0:
             return float(ks[i])
         root = refine(fn, ks, vals, int(i))
@@ -299,9 +307,10 @@ def _scan_root(fn, ks: np.ndarray, refine) -> float:
     best = int(np.nanargmin(magnitude))
     if magnitude[best] <= 1e-12 * max(1.0, float(np.nanmax(magnitude))):
         return float(ks[best])
-    raise NoRoot(
-        f"no sign change among {int(valid.sum())} valid seeds in "
-        f"[{ks[0]:g}, {ks[-1]:g}] (smallest |value| {magnitude[best]:.3g})")
+    seeds = f"among {int(valid.sum())} valid seeds in [{ks[0]:g}, {ks[-1]:g}]"
+    found = (f"{changes.size} sign change{'s' * (changes.size > 1)} {seeds} could "
+             f"not be narrowed" if changes.size else f"no sign change {seeds}")
+    raise NoRoot(f"{found} (smallest |value| {magnitude[best]:.3g})")
 
 
 def _sign_changes(vals: np.ndarray) -> np.ndarray:
@@ -451,53 +460,68 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     Every sweep is one batched call of `shoot_ivp`, whose cost hardly depends
     on the number of shots but grows with n.  So k is first found on a grid
     of max(n // COARSENING, MIN_COARSE_N) intervals, by `_scan_root` with
-    `_refine_batched`.  On the problem's grid a second `_scan_root` sweeps
-    k and points within NEAR_REACH max(1, |k|) of it, and finishes the root
-    it brackets.  When either level raises NoRoot, or the coarse grid is not
-    coarser, the full scan and refinement run on the problem's grid alone.
-    The solution is the fine shot taken at k, and `iterations` counts the
-    sweeps on both grids; a NoRoot carries it too.
+    `_refine_batched`, down to adjacent floats.  On the problem's grid one
+    sweep shoots k and 62 points within NEAR_REACH max(1, |k|) of it, spaced
+    geometrically from one ulp.  The solution is its first shot that matches
+    exactly, else its first two adjacent shots whose finite mismatches
+    change sign, u and u' interpolated linearly in k at the zero of the
+    mismatch's chord, else a shot that matches to rounding.  That pair is at
+    most 5.3e-7 max(1, |k|) wide; on generated problems at n = 400, about
+    1e-13 max(1, |k|) for p1 and p1t and 3e-10 for p2.  When either level
+    raises NoRoot, or the coarse grid is not coarser, the full scan and
+    refinement run on the problem's grid alone, and one more sweep shoots
+    the root.  `iterations` counts the sweeps on both grids; a NoRoot carries
+    it too.
     """
     phi = spec.phi
     bc = spec.bc
     backward = bc.end == -1
     other = -1 - bc.end
-    shots: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     sweeps = 0
-
-    def matched(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        if bc is BoundaryCondition.P2:
-            return us[..., other]
-        return phi.inv_fn(vs[..., other])
+    swept = ()  # the last sweep's ks and shots
 
     def mismatch(ks: np.ndarray, on: ProblemSpec = spec) -> np.ndarray:
-        nonlocal sweeps
+        nonlocal sweeps, swept
         sweeps += 1
         us, vs = shoot_ivp(on, ks, ks, backward=backward)
-        if on is spec:
-            shots.update(zip(ks.tolist(), zip(us, vs)))
-        return matched(us, vs) - ks
+        swept = ks, us, vs
+        end = us[..., other] if bc is BoundaryCondition.P2 else phi.inv_fn(vs[..., other])
+        return end - ks
 
-    # k_root is always an argument of a fine sweep, so `shots` holds its shot
+    def interpolate(fn, ks, vals, i):
+        """The near sweep's first exact zero, else the zero of the chord over
+        its first sign change [ks[i], ks[i + 1]]: evaluates nothing."""
+        zero = np.flatnonzero(vals == 0.0)
+        if zero.size:
+            return float(ks[zero[0]])
+        w = vals[i] / (vals[i] - vals[i + 1])
+        return min(ks[i] + w * (ks[i + 1] - ks[i]), ks[i + 1])  # no rounding past it
+
     scan = np.linspace(-SEED_RADIUS - 1.0, SEED_RADIUS + 1.0, SWEEP_SHOTS)
     coarse = _coarse(spec)
     k_root = math.nan
     if coarse is not None:
-        try:
+        with suppress(NoRoot):
             k = _scan_root(lambda ks: mismatch(ks, coarse), scan, _refine_batched)
             near = _sweep_around(k, np.finfo(float).eps, NEAR_REACH, max(1.0, abs(k)))
-            k_root = _scan_root(mismatch, near, _refine_batched)
-        except NoRoot:
-            pass
+            k_root = _scan_root(mismatch, near, interpolate)
     if math.isnan(k_root):
         try:
             k_root = _scan_root(mismatch, scan, _refine_batched)
         except NoRoot as exc:
             exc.iterations = sweeps
             raise
-    us, vs = shots[k_root]
-    u = GridFunction(spec.grid, us, phi.inverse(vs))
-    rep = ResidualReport(abs(float(matched(us, vs)) - k_root), bc_defects(bc, u))
+        mismatch(np.array([k_root]))  # the shot at the root
+    # k_root lies in [ks[hi - 1], ks[hi]] of the last sweep, or equals ks[hi]
+    ks, us, vs = swept
+    hi = int(np.searchsorted(ks, k_root))
+    lo = hi if ks[hi] == k_root else hi - 1
+    w = 0.0 if lo == hi else (k_root - ks[lo]) / (ks[hi] - ks[lo])
+    values, derivs = (x[0] + w * (x[1] - x[0])
+                      for x in (us[[lo, hi]], phi.inverse(vs[[lo, hi]])))
+    u = GridFunction(spec.grid, values, derivs)
+    end = values[other] if bc is BoundaryCondition.P2 else derivs[other]
+    rep = ResidualReport(abs(float(end) - k_root), bc_defects(bc, u))
     return SolveReport(solution=u, residuals=rep, iterations=sweeps,
                        lambda_path=(), backend="shooting")
 

@@ -40,6 +40,24 @@ def template(n):
     return ProblemSpec(Grid(spec.grid.T, n), spec.phi, spec.rhs, spec.bc)
 
 
+FLUXES = {"curvature": curvature(), "atan": scaled_atan(1.0)}
+GENERATED = [pytest.param(bc, flux, id=f"{bc.value}-{flux}")
+             for bc in BoundaryCondition for flux in FLUXES]
+
+
+def generated(bc, flux, seed, n=400):
+    """A random problem on n intervals under FLUXES[flux]: the criterion-7
+    template for p1 and p1t, c cos(u + w t + s atan(u')) with c < a / (2 T)
+    for p2."""
+    rng = np.random.default_rng(seed)
+    if bc is BoundaryCondition.P2:
+        c, w, s = rng.uniform(0.15, 0.45), rng.uniform(0.0, 2 * np.pi), rng.uniform(-1, 1)
+        rhs = RightHandSide(fn=lambda t, u, v: c * np.cos(u + w * t + s * np.arctan(v)))
+        return ProblemSpec(Grid(1.0, n), FLUXES[flux], rhs, bc)
+    spec, _, _, _ = _admissible_template(rng, bc)
+    return ProblemSpec(Grid(spec.grid.T, n), FLUXES[flux], spec.rhs, bc)
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(tol=0.0)
@@ -402,20 +420,105 @@ class TestShooting:
         assert calls == []
         assert not rep.solution_family  # the fixed-point route's flag alone
 
+    @staticmethod
+    def record_sweeps(monkeypatch):
+        """(intervals, shots) of each sweep that solve_shooting takes."""
+        sweeps = []
+
+        def counted(spec, u0, *args, **kwargs):
+            sweeps.append((spec.grid.n, np.size(u0)))
+            return shoot_ivp(spec, u0, *args, **kwargs)
+        monkeypatch.setattr(tribvp.solver, "shoot_ivp", counted)
+        return sweeps
+
+    @staticmethod
+    def assert_coarse_then_one_fine(spec, sweeps):
+        grids = [n for n, _ in sweeps]
+        coarse = tribvp.solver._coarse(spec).grid.n
+        assert grids == [coarse] * (len(grids) - 1) + [spec.grid.n]
+
     @pytest.mark.parametrize("name", ["steep_slope", "bounded_forcing"])
     def test_demo_files_shoot_at_most_three_grids_of_steps(self, name, monkeypatch):
         doc = load_problem(PROBLEMS / f"{name}.prob")
-        calls = []
-
-        def counted(spec, *args, **kwargs):
-            calls.append(spec.grid.n)
-            return shoot_ivp(spec, *args, **kwargs)
-        monkeypatch.setattr(tribvp.solver, "shoot_ivp", counted)
+        sweeps = self.record_sweeps(monkeypatch)
         rep = solve_shooting(doc.spec, doc.options)
-        # the sweep cost is per RK4 step: the coarse sweeps and at most two
-        # fine ones take no more steps than three sweeps of the problem's grid
-        assert sum(calls) <= 3 * doc.spec.grid.n
-        assert rep.iterations == len(calls)
+        # the sweep cost is per RK4 step: the coarse sweeps and the one fine
+        # one take no more steps than three sweeps of the problem's grid
+        assert sum(n for n, _ in sweeps) <= 3 * doc.spec.grid.n
+        self.assert_coarse_then_one_fine(doc.spec, sweeps)
+        assert rep.iterations == len(sweeps)
+
+    @pytest.mark.parametrize("bc,flux", GENERATED)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_generated_problems_take_one_fine_sweep(self, bc, flux, seed, monkeypatch):
+        spec = generated(bc, flux, seed)
+        sweeps = self.record_sweeps(monkeypatch)
+        rep = solve_shooting(spec)
+        self.assert_coarse_then_one_fine(spec, sweeps)
+        assert sweeps[-1][1] == SWEEP_SHOTS - 1
+        assert rep.iterations == len(sweeps)
+
+    @pytest.mark.parametrize("bc,flux", GENERATED)
+    def test_interpolant_matches_the_shot_at_the_adjacent_float_root(self, bc, flux):
+        """The near sweep's bracket refined to adjacent floats, and one shot
+        there, give the solution of the interpolated pair within 1e-13."""
+        spec = generated(bc, flux, seed=3)
+        rep = solve_shooting(spec)
+        backward, other = bc.end == -1, -1 - bc.end
+
+        def mismatch(ks, on=spec):
+            us, vs = shoot_ivp(on, ks, ks, backward=backward)
+            end = us[..., other] if bc is BoundaryCondition.P2 else on.phi.inv_fn(vs[..., other])
+            return end - ks
+        solver = tribvp.solver
+        coarse = solver._coarse(spec)
+        k = solver._scan_root(lambda ks: mismatch(ks, coarse),
+                              np.linspace(-3.0, 3.0, SWEEP_SHOTS), _refine_batched)
+        near = solver._sweep_around(k, np.finfo(float).eps, solver.NEAR_REACH, max(1.0, abs(k)))
+        k_root = solver._scan_root(mismatch, near, _refine_batched)
+        us, vs = shoot_ivp(spec, k_root, k_root, backward=backward)
+        gap = (np.abs(rep.solution.values - us).max()
+               + np.abs(rep.solution.derivs - spec.phi.inverse(vs)).max())
+        assert gap <= 1e-13
+        assert rep.residuals.c1 <= SolveOptions().tol
+
+    # f = A (e^{B v} - e^{B y0}) - C / (D + u) on n = 100: the fine root lies
+    # beyond the near sweep's reach of the coarse one, so the near sweep has
+    # no sign change (A, B, y0, C, D, T; the root recorded from the full scan)
+    @pytest.mark.parametrize("params,bc,expected", [
+        ((0.3899991419384397, 0.8994222899520921, 0.060899014574014476,
+          0.05860670251158337, 0.973963042288728, 0.9497477160722585),
+         "p1", -1.0052834147164458),
+        ((0.34929440330793776, 0.6038191595194384, 0.268997071975065,
+          0.23656507783891484, 1.0844965618648954, 0.6579730152622838),
+         "p1t", -2.7745553109147556),
+    ], ids=["p1", "p1t"])
+    def test_near_sweep_without_a_bracket_falls_back_to_the_full_scan(
+            self, params, bc, expected, monkeypatch):
+        A, B, y0, C, D, T = params
+        f = f"{A!r}*(exp({B!r}*v) - exp({B!r}*{y0!r})) - {C!r}/({D!r} + u)"
+        spec = loads(f"[problem]\nT = {T!r}\nn = 100\nf = {f}\nbc = {bc}\n").spec
+        sweeps = self.record_sweeps(monkeypatch)
+        rep = solve_shooting(spec)
+        fine = [shots for n, shots in sweeps if n == spec.grid.n]
+        # the near sweep, the full scan, its refining sweeps, the shot at the root
+        assert fine[:2] == [SWEEP_SHOTS - 1, SWEEP_SHOTS] and fine[-1] == 1
+        assert len(fine) > 3
+        assert abs(rep.solution.values[spec.bc.end] - expected) <= 1e-13
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.P1, BoundaryCondition.P1T],
+                             ids=["p1", "p1t"])
+    def test_flat_family_keeps_an_exact_zero_root(self, bc):
+        # f == 0: the mismatch is rounding noise of both signs with exact
+        # zeros among it; the solution is the shot at one of those zeros
+        spec = ProblemSpec(Grid(1.0, 64), curvature(),
+                           RightHandSide(fn=lambda t, u, v: 0.0 * t), bc)
+        rep = solve_shooting(spec)
+        k = rep.solution.values[bc.end]
+        us, vs = shoot_ivp(spec, k, k, backward=bc.end == -1)
+        assert rep.residuals.c1 == 0.0
+        assert np.array_equal(rep.solution.values, us)
+        assert np.array_equal(rep.solution.derivs, spec.phi.inverse(vs))
 
     # the cubic in v kills the shots of large |k| in the direction of the sweep
     @pytest.mark.parametrize("cubic,bc,backward", [("v*v*v - 4*v", "p1", False),
@@ -454,7 +557,8 @@ class TestShooting:
         ("exp(v) - exp(3.5)", "p1", 0.01,
          "no sign change among 42 valid seeds in [-3, 3] (smallest |value| 0.326)"),
         ("1/(v-0.25)", "p1", 0.1,
-         "no sign change among 64 valid seeds in [-3, 3] (smallest |value| 0.187)"),
+         "1 sign change among 64 valid seeds in [-3, 3] could not be narrowed "
+         "(smallest |value| 0.187)"),
     ], ids=["cubic-p1", "cubic-p1t", "cubic-p1-short", "two-lines-p1t", "sine-p1",
             "three-roots-p1", "exp3-exact-zero", "exp3.5-no-root", "pole-no-root"])
     def test_two_level_search_keeps_the_fine_grid_root(self, f, bc, T, expected):
