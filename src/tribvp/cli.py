@@ -9,7 +9,7 @@ failures among them come from one table per subcommand, `EXIT_CODES`:
         boundary or a non-finite f (degree)
     3   hypothesis hard-failure under --require-hypotheses, or seeding failure
     4   unreadable input: bad command line, file, expression, option or
-        domain errors, M1 >= M2
+        domain errors, M1 >= M2; or an --out file solve cannot write
 """
 
 from __future__ import annotations

@@ -64,12 +64,6 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "derivs", ders)
 
-    @classmethod
-    def from_callables(cls, grid: Grid, u, du) -> "GridFunction":
-        t = grid.nodes
-        return cls(grid, np.broadcast_to(np.asarray(u(t), dtype=float), t.shape),
-                   np.broadcast_to(np.asarray(du(t), dtype=float), t.shape))
-
 
 def norm_sup(values) -> float:
     v = np.asarray(values, dtype=float)

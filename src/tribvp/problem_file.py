@@ -133,11 +133,9 @@ def loads(text: str, source_path: str | None = None) -> ProblemDocument:
         c_lower = lambda t, _fn=c_full: _fn(t, 0.0, 0.0)
 
     sol = cp["solver"] if cp.has_section("solver") else {}
+    read = {"tol": _float, "max_iters": _int, "backend": lambda _s, _k, text: text.strip()}
     try:
-        options = SolveOptions(
-            tol=_float("solver", "tol", sol.get("tol", "1e-10")),
-            max_iters=_int("solver", "max_iters", sol.get("max_iters", "5000")),
-            backend=sol.get("backend", "fixed-point").strip())
+        options = SolveOptions(**{key: read[key]("solver", key, sol[key]) for key in sol})
     except ValueError as exc:
         raise ProblemFileError(f"[solver] {exc}") from exc
 

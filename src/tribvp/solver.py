@@ -15,10 +15,10 @@ three boundary quantities to one shared value k, so every case is a scalar
 equation in k.  Every evaluation of it is a batched sweep of shots.  As for
 the lambda = 0 seed, a scan of k finds a sign change on the `_coarse` grid,
 eight times coarser, and the root is finished on the problem's own grid.
-The seed's is finished by `_bracket_root`.  The shooting root is first
-narrowed to adjacent floats on the coarse grid, by sweeps placed
-geometrically around an interpolated root estimate; then one sweep on the
-problem's grid, close around it, brackets it again, and the solution
+The seed's is finished by `_bracket_root`.  The shooting root is narrowed
+to adjacent floats, by sweeps placed geometrically around an interpolated
+root estimate, on the coarse grid or else on the problem's; then one sweep
+on the problem's grid, close around it, brackets it again, and the solution
 interpolates the two shots of that bracket.  A shot whose flux leaves (-a, a)
 gets a NaN u at its next stage and keeps it, so a sweep runs to its end, even
 when every shot dies, and decides there which died.
@@ -32,7 +32,7 @@ returns a root for the bracket [ks[i], ks[i + 1]], or NaN.
 `operators._bracket_root` and `_refine_batched` narrow it and return an
 argument they evaluated: the first calls fn with one argument at a time, the
 second with a sweep of up to SWEEP_SHOTS.  The refiner of the shooting
-route's fine sweep calls fn not at all (see `solve_shooting`).
+route's near sweep calls fn not at all (see `solve_shooting`).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ SEED_RADIUS = 2.0    # the seed scans k in [-2, 2], shooting in [-3, 3]
 SWEEP_SHOTS = 64     # shots per shooting sweep, the scan's and each refining one
 COARSENING = 8       # the seed and shooting scan first on n // 8 intervals ...
 MIN_COARSE_N = 16    # ... but on no fewer than 16
-NEAR_REACH = 1e-6    # the fine sweep around the coarse root reaches 1e-6 max(1, |k|)
+NEAR_REACH = 1e-6    # the near sweep around a located root reaches 1e-6 max(1, |k|)
 BACKENDS = ("fixed-point", "shooting", "both")
 ANDERSON_DEPTH = 5   # secant pairs kept per lambda-stage
 MAX_HALVINGS = 6     # pull-backs of one out-of-domain iterate before giving up
@@ -185,8 +185,7 @@ def _seed(spec: ProblemSpec) -> GridFunction:
     if spec.bc is BoundaryCondition.P2:
         zero = np.zeros(grid.n + 1)
         return GridFunction(grid, zero, zero)
-    r = SEED_RADIUS
-    scan = np.linspace(-r, r, 65)
+    scan = np.linspace(-SEED_RADIUS, SEED_RADIUS, 65)
     mean = lambda ks: affine_mean(spec, ks, ks)
     coarse = _coarse(spec)
     starts = _sign_changes(affine_mean(coarse, scan, scan)) if coarse else []
@@ -196,9 +195,7 @@ def _seed(spec: ProblemSpec) -> GridFunction:
     try:
         k_root = _scan_root(mean, scan, _bracket_root)
     except NoRoot as exc:
-        raise HypothesisFailed(
-            f"seeding failed: the reduced scalar equation has no sign change "
-            f"for k in [-{r:g}, {r:g}]") from exc
+        raise HypothesisFailed(f"seeding failed: {exc}") from exc
     return _affine(spec, k_root)
 
 
@@ -458,20 +455,19 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         p2   backward from u(T) = u'(T) = k, match u(0) = k
 
     Every sweep is one batched call of `shoot_ivp`, whose cost hardly depends
-    on the number of shots but grows with n.  So k is first found on a grid
-    of max(n // COARSENING, MIN_COARSE_N) intervals, by `_scan_root` with
-    `_refine_batched`, down to adjacent floats.  On the problem's grid one
-    sweep shoots k and 62 points within NEAR_REACH max(1, |k|) of it, spaced
-    geometrically from one ulp.  The solution is its first shot that matches
-    exactly, else its first two adjacent shots whose finite mismatches
-    change sign, u and u' interpolated linearly in k at the zero of the
-    mismatch's chord, else a shot that matches to rounding.  That pair is at
-    most 5.3e-7 max(1, |k|) wide; on generated problems at n = 400, about
-    1e-13 max(1, |k|) for p1 and p1t and 3e-10 for p2.  When either level
-    raises NoRoot, or the coarse grid is not coarser, the full scan and
-    refinement run on the problem's grid alone, and one more sweep shoots
-    the root.  `iterations` counts the sweeps on both grids; a NoRoot carries
-    it too.
+    on the number of shots but grows with n.  So k is located on each grid
+    in turn, the `_coarse` one (if coarser), then the problem's, by
+    `_scan_root` with `_refine_batched` down to adjacent floats.  Then one
+    near sweep on the problem's grid shoots k and 62 points within
+    NEAR_REACH max(1, |k|) of it, spaced geometrically from one ulp.  The
+    solution is its first shot that matches exactly, else its first two
+    adjacent shots whose finite mismatches change sign, u and u'
+    interpolated linearly in k at the zero of the mismatch's chord, else a
+    shot that matches to rounding.  That pair is at most 5.3e-7 max(1, |k|)
+    wide; on generated problems at n = 400, about 1e-13 max(1, |k|) for p1
+    and p1t and 3e-10 for p2.  The first grid on which neither step raises
+    NoRoot gives the solution; the problem's grid's NoRoot propagates.
+    `iterations` counts the sweeps on both grids; a NoRoot carries it too.
     """
     phi = spec.phi
     bc = spec.bc
@@ -498,21 +494,17 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         return min(ks[i] + w * (ks[i + 1] - ks[i]), ks[i + 1])  # no rounding past it
 
     scan = np.linspace(-SEED_RADIUS - 1.0, SEED_RADIUS + 1.0, SWEEP_SHOTS)
-    coarse = _coarse(spec)
-    k_root = math.nan
-    if coarse is not None:
-        with suppress(NoRoot):
-            k = _scan_root(lambda ks: mismatch(ks, coarse), scan, _refine_batched)
+    for on in filter(None, (_coarse(spec), spec)):
+        try:
+            k = _scan_root(lambda ks: mismatch(ks, on), scan, _refine_batched)
             near = _sweep_around(k, np.finfo(float).eps, NEAR_REACH, max(1.0, abs(k)))
             k_root = _scan_root(mismatch, near, interpolate)
-    if math.isnan(k_root):
-        try:
-            k_root = _scan_root(mismatch, scan, _refine_batched)
+            break
         except NoRoot as exc:
-            exc.iterations = sweeps
-            raise
-        mismatch(np.array([k_root]))  # the shot at the root
-    # k_root lies in [ks[hi - 1], ks[hi]] of the last sweep, or equals ks[hi]
+            if on is spec:
+                exc.iterations = sweeps
+                raise
+    # k_root lies in [ks[hi - 1], ks[hi]] of the near sweep, or equals ks[hi]
     ks, us, vs = swept
     hi = int(np.searchsorted(ks, k_root))
     lo = hi if ks[hi] == k_root else hi - 1

@@ -121,6 +121,12 @@ class TestSolve:
         assert main(["solve", path, "--require-hypotheses"]) == 3
         assert "bound: 0.6 >= 0.5" in capsys.readouterr().err
 
+    def test_seeding_failure_keeps_the_scan_message_exit_3(self, tmp_path, capsys):
+        # the seed scan straddles the pole at v = 0.26 but cannot narrow it
+        path = write(tmp_path, "[problem]\nT = 0.1\nn = 200\nf = 1/(v-0.26)\nbc = p1\n")
+        assert main(["solve", path]) == 3
+        assert "could not be narrowed" in capsys.readouterr().err
+
     def test_require_hypotheses_allows_good_bound(self, capsys):
         assert main(["solve", BOUNDED, "--require-hypotheses"]) == 0
         assert "status=ok" in capsys.readouterr().out

@@ -1,7 +1,7 @@
 """Every exported name resolves: a deleted function cannot leave its export
-behind.  Every private module-level name is used: a consolidation cannot leave
-a helper behind.  exec runs in one place: a second code generator cannot
-come back silently."""
+behind.  Every private module-level name, and every public method or property
+of a public class, is used: a consolidation cannot leave a helper behind.
+exec runs in one place: a second code generator cannot come back silently."""
 
 import ast
 import importlib
@@ -26,6 +26,10 @@ def test_every_exported_name_resolves(module):
 
 SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(Path(tribvp.__file__).parent.glob("*.py"))}
+ROOT = Path(tribvp.__file__).resolve().parents[2]
+CALLERS = list(SOURCES.values()) + [ast.parse(path.read_text(encoding="utf-8"))
+                                    for folder in ("demos", "perfbench")
+                                    for path in sorted((ROOT / folder).rglob("*.py"))]
 
 
 def _private_definitions(tree):
@@ -67,6 +71,24 @@ def test_every_private_name_is_used():
               if not any(name in qualified or (where == module and name in bare)
                          for where, statement, bare, qualified in uses
                          if statement is not node)]
+    assert unused == []
+
+
+def test_every_public_method_is_used():
+    # an attribute named like the method, anywhere in src/, demos/ or
+    # perfbench/ outside the method itself, counts as a use
+    methods = [(f"{module}.{cls.name}.{node.name}", node)
+               for module, tree in SOURCES.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    reads = [node for tree in CALLERS for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)]
+
+    def used(method):
+        own = set(ast.walk(method))
+        return any(read.attr == method.name and read not in own for read in reads)
+    unused = [name for name, method in methods if not used(method)]
     assert unused == []
 
 

@@ -53,13 +53,6 @@ def test_gridfunction_locks_copies():
         u.values[0] = 5.0
 
 
-def test_from_callables():
-    g = Grid(1.0, 10)
-    u = GridFunction.from_callables(g, lambda t: t**2, lambda t: 2 * t)
-    assert np.allclose(u.values, g.nodes**2)
-    assert np.allclose(u.derivs, 2 * g.nodes)
-
-
 def test_norms():
     g = Grid(1.0, 4)
     u = GridFunction(g, np.array([0.0, -3.0, 1.0, 0.5, 2.0]),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tribvp import BoundaryCondition, ProblemFileError, loads
+from tribvp import BoundaryCondition, ProblemFileError, SolveOptions, loads
 from tribvp.problem_file import load_problem
 
 FULL = """
@@ -53,6 +53,7 @@ def test_defaults():
     assert doc.spec.phi.a == 1.0
     assert doc.options.tol == 1e-10
     assert doc.options.backend == "fixed-point"
+    assert doc.options == SolveOptions()
     assert doc.hypothesis_data.m1 is None
     assert doc.hypothesis_data.c_bound is None
 

@@ -446,6 +446,7 @@ class TestShooting:
         # one take no more steps than three sweeps of the problem's grid
         assert sum(n for n, _ in sweeps) <= 3 * doc.spec.grid.n
         self.assert_coarse_then_one_fine(doc.spec, sweeps)
+        assert sweeps[-1][1] == SWEEP_SHOTS - 1
         assert rep.iterations == len(sweeps)
 
     @pytest.mark.parametrize("bc,flux", GENERATED)
@@ -457,6 +458,18 @@ class TestShooting:
         self.assert_coarse_then_one_fine(spec, sweeps)
         assert sweeps[-1][1] == SWEEP_SHOTS - 1
         assert rep.iterations == len(sweeps)
+
+    def test_without_a_coarser_grid_the_near_sweep_finishes(self, monkeypatch):
+        # n = 12: the root is located on the problem's grid alone, and the
+        # solution still interpolates the near sweep's bracket
+        spec = steep(n=12)
+        assert tribvp.solver._coarse(spec) is None
+        sweeps = self.record_sweeps(monkeypatch)
+        rep = solve_shooting(spec)
+        assert [n for n, _ in sweeps] == [spec.grid.n] * len(sweeps)
+        assert sweeps[0][1] == SWEEP_SHOTS and sweeps[-1][1] == SWEEP_SHOTS - 1
+        assert rep.iterations == len(sweeps)
+        assert rep.residuals.c1 <= SolveOptions().tol
 
     @pytest.mark.parametrize("bc,flux", GENERATED)
     def test_interpolant_matches_the_shot_at_the_adjacent_float_root(self, bc, flux):
@@ -501,8 +514,9 @@ class TestShooting:
         sweeps = self.record_sweeps(monkeypatch)
         rep = solve_shooting(spec)
         fine = [shots for n, shots in sweeps if n == spec.grid.n]
-        # the near sweep, the full scan, its refining sweeps, the shot at the root
-        assert fine[:2] == [SWEEP_SHOTS - 1, SWEEP_SHOTS] and fine[-1] == 1
+        # the near sweep, the full scan, its refining sweeps, the near sweep
+        # around the root they located
+        assert fine[:2] == [SWEEP_SHOTS - 1, SWEEP_SHOTS] and fine[-1] == SWEEP_SHOTS - 1
         assert len(fine) > 3
         assert abs(rep.solution.values[spec.bc.end] - expected) <= 1e-13
 
