@@ -15,13 +15,14 @@ three boundary quantities to one shared value k, so every case is a scalar
 equation in k.  Every evaluation of it is a batched sweep of shots.  As for
 the lambda = 0 seed, a scan of k finds a sign change on the `_coarse` grid,
 eight times coarser, and the root is finished on the problem's own grid.
-The seed's is finished by `_bracket_root`.  The shooting root is narrowed
-to adjacent floats, by sweeps placed geometrically around an interpolated
-root estimate, on the coarse grid or else on the problem's; then one sweep
-on the problem's grid, close around it, brackets it again, and the solution
-interpolates the two shots of that bracket.  A shot whose flux leaves (-a, a)
-gets a NaN u at its next stage and keeps it, so a sweep runs to its end, even
-when every shot dies, and decides there which died.
+The seed's is finished by `_bracket_root`.  The shooting root is located,
+by sweeps placed geometrically around an interpolated root estimate, until
+its bracket is under LOCATE_WIDTH max(1, |k|), on the coarse grid or else on
+the problem's; then one sweep on the problem's grid, close around that
+estimate, brackets it again, and the solution interpolates the two shots of
+that bracket.  A shot whose flux leaves (-a, a) gets a NaN u at its next
+stage and keeps it, so a sweep runs to its end, even when every shot dies,
+and decides there which died.
 Agreement between the two routes is the package's main self-check.
 
 Every scalar equation, the lambda = 0 seed, the p2 balancing constant in
@@ -29,10 +30,12 @@ Every scalar equation, the lambda = 0 seed, the p2 balancing constant in
 an array of arguments to an array of values, NaN where it cannot evaluate,
 and `_scan_root` finds a sign change.  A refiner refine(fn, ks, vals, i)
 returns a root for the bracket [ks[i], ks[i + 1]], or NaN.
-`operators._bracket_root` and `_refine_batched` narrow it and return an
-argument they evaluated: the first calls fn with one argument at a time, the
-second with a sweep of up to SWEEP_SHOTS.  The refiner of the shooting
-route's near sweep calls fn not at all (see `solve_shooting`).
+`operators._bracket_root` and `_refine_batched` narrow it to adjacent
+floats and return an argument they evaluated: the first calls fn with one
+argument at a time, the second with a sweep of up to SWEEP_SHOTS.  The
+shooting route's locate step stops `_refine_batched` at LOCATE_WIDTH and
+returns an interpolated estimate it has not evaluated; the refiner of its
+near sweep calls fn not at all (see `solve_shooting`).
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ SWEEP_SHOTS = 64     # shots per shooting sweep, the scan's and each refining on
 COARSENING = 8       # the seed and shooting scan first on n // 8 intervals ...
 MIN_COARSE_N = 16    # ... but on no fewer than 16
 NEAR_REACH = 1e-6    # the near sweep around a located root reaches 1e-6 max(1, |k|)
+LOCATE_WIDTH = 1e-4  # a root is located once its bracket is under 1e-4 max(1, |k|)
 BACKENDS = ("fixed-point", "shooting", "both")
 ANDERSON_DEPTH = 5   # secant pairs kept per lambda-stage
 MAX_HALVINGS = 6     # pull-backs of one out-of-domain iterate before giving up
@@ -324,7 +328,8 @@ def _sweep_around(x: float, nearest: float, farthest: float,
     return np.unique(np.concatenate([x - reach, [x], x + reach]))
 
 
-def _refine_batched(fn, ks: np.ndarray, vals: np.ndarray, i: int) -> float:
+def _refine_batched(fn, ks: np.ndarray, vals: np.ndarray, i: int,
+                    width: float = 0.0) -> float:
     """Narrow [ks[i], ks[i + 1]] by whole sweeps of fn.
 
     Each call of fn takes an estimate x of the root and points spaced
@@ -333,7 +338,9 @@ def _refine_batched(fn, ks: np.ndarray, vals: np.ndarray, i: int) -> float:
     root within a few ulps.  The new bracket is the first adjacent pair of
     finite values of opposite signs inside the old one; a sign change across
     a NaN is never used.  Stops at an exact zero, or at adjacent floats with
-    the end of smaller |value|; NaN when no usable pair is left.
+    the end of smaller |value|; NaN when no usable pair is left.  With a
+    width > 0 it stops earlier, once the bracket is narrower than
+    width max(1, |x|), and returns the estimate x, which it has not evaluated.
     """
     while True:
         lo, hi = float(ks[i]), float(ks[i + 1])
@@ -341,6 +348,8 @@ def _refine_batched(fn, ks: np.ndarray, vals: np.ndarray, i: int) -> float:
             return lo if abs(vals[i]) <= abs(vals[i + 1]) else hi
         near = slice(max(i - 1, 0), i + 3)  # the bracket and one neighbour each side
         x = _root_estimate(ks[near], vals[near], lo, hi, vals[i], vals[i + 1])
+        if hi - lo < width * max(1.0, abs(x)):
+            return x
         pts = _sweep_around(x, np.spacing(abs(x)), 0.5 * (hi - lo))
         pts = pts[(pts > lo) & (pts < hi)]
         pvals = np.asarray(fn(pts), dtype=float)
@@ -396,7 +405,11 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
 
     Each stage calls spec.rhs.fn once, as f(t, u, u') with t a float and u,
     u' arrays over the shots (4 n calls a sweep, even if every shot dies); a
-    scalar f broadcasts in the RK4 arithmetic.  phi^{-1} is never finite
+    scalar f broadcasts in the RK4 arithmetic.  The sweep keeps (u, v) of
+    every shot as one (n + 1, 2, shots) array, so each RK4 combination acts
+    on both at once, in the operation order of u and v stepped as two
+    arrays: the results are bit for bit those of that two-array sweep, and
+    u and v are returned as views of the one array.  phi^{-1} is never finite
     outside (-a, a), so a shot whose flux leaves it gets a non-finite u at
     its next stage for good.  After the sweep, a shot with a non-finite u or
     |v| >= a at its last node is dead: a row of NaN, or StepRejected for a
@@ -413,25 +426,29 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
     shape = u0.shape
     f, inv = spec.rhs.fn, phi.inv_fn
 
-    def stage(t, u, y):
-        v = inv(y)
-        return v, f(t, u, v)
+    m = u0.size
+    ys = np.empty((n + 1, 2, m))  # ys[i] = (u, v) of every shot at node i
+    k1, k2, k3, k4, mid = (np.empty((2, m)) for _ in range(5))
 
+    def stage(t, y, k):
+        k[0] = inv(y[1])
+        k[1] = f(t, y[0], k[0])
+
+    # 0-d factors and k + k give the bits of float * array and 2.0 * k, faster
+    h_half, h_full, h_sixth = (np.array(c) for c in (0.5 * h, h, h / 6.0))
     order = np.arange(n, -1, -1) if backward else np.arange(n + 1)
-    us = np.empty((n + 1, u0.size))
-    vs = np.empty_like(us)
-    us[order[0]] = u0.ravel()
-    vs[order[0]] = phi.forward(slope0.ravel())
+    ys[order[0], 0] = u0.ravel()
+    ys[order[0], 1] = phi.forward(slope0.ravel())
     with np.errstate(all="ignore"):
         for i, j in zip(order[:-1], order[1:]):
             t0 = float(t_nodes[i])
-            uu, vv = us[i], vs[i]
-            k1u, k1v = stage(t0, uu, vv)
-            k2u, k2v = stage(t0 + 0.5 * h, uu + 0.5 * h * k1u, vv + 0.5 * h * k1v)
-            k3u, k3v = stage(t0 + 0.5 * h, uu + 0.5 * h * k2u, vv + 0.5 * h * k2v)
-            k4u, k4v = stage(t0 + h, uu + h * k3u, vv + h * k3v)
-            us[j] = uu + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            vs[j] = vv + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            yi = ys[i]
+            stage(t0, yi, k1)
+            stage(t0 + 0.5 * h, np.add(yi, h_half * k1, out=mid), k2)
+            stage(t0 + 0.5 * h, np.add(yi, h_half * k2, out=mid), k3)
+            stage(t0 + h, np.add(yi, h_full * k3, out=mid), k4)
+            ys[j] = yi + h_sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        us, vs = ys[:, 0], ys[:, 1]
         ok = np.isfinite(us) & (np.abs(vs) < a)
     dead = ~ok[order[-1]]
     if not shape and dead[0]:
@@ -457,16 +474,21 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     Every sweep is one batched call of `shoot_ivp`, whose cost hardly depends
     on the number of shots but grows with n.  So k is located on each grid
     in turn, the `_coarse` one (if coarser), then the problem's, by
-    `_scan_root` with `_refine_batched` down to adjacent floats.  Then one
-    near sweep on the problem's grid shoots k and 62 points within
-    NEAR_REACH max(1, |k|) of it, spaced geometrically from one ulp.  The
-    solution is its first shot that matches exactly, else its first two
-    adjacent shots whose finite mismatches change sign, u and u'
-    interpolated linearly in k at the zero of the mismatch's chord, else a
-    shot that matches to rounding.  That pair is at most 5.3e-7 max(1, |k|)
-    wide; on generated problems at n = 400, about 1e-13 max(1, |k|) for p1
-    and p1t and 3e-10 for p2.  The first grid on which neither step raises
-    NoRoot gives the solution; the problem's grid's NoRoot propagates.
+    `_scan_root` with `_refine_batched` stopped once the bracket is under
+    LOCATE_WIDTH max(1, |k|), at the bracket's interpolated root estimate.
+    On generated problems at n = 400 that takes the scan and one refining
+    sweep, after which the bracket is at most 9.5e-5 max(1, |k|) wide (median
+    2.9e-5 for p1 and p1t, 5.9e-7 for p2).  Then one near sweep on the
+    problem's grid shoots k and 62 points within NEAR_REACH max(1, |k|) of
+    it, spaced geometrically from one ulp.  The solution is its first shot
+    that matches exactly, else its first two adjacent shots whose finite
+    mismatches change sign, u and u' interpolated linearly in k at the zero
+    of the mismatch's chord, else a shot that matches to rounding.  That
+    pair was at most 5.2e-7 max(1, |k|) wide on a set of singular problems;
+    on generated problems at n = 400, about 2e-13 max(1, |k|) for p1 and p1t
+    and 7e-10 for p2 at the median, 3e-9 at most.  The first grid on which
+    neither step raises NoRoot gives the solution; the problem's grid's
+    NoRoot propagates.
     `iterations` counts the sweeps on both grids; a NoRoot carries it too.
     """
     phi = spec.phi
@@ -493,10 +515,13 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         w = vals[i] / (vals[i] - vals[i + 1])
         return min(ks[i] + w * (ks[i + 1] - ks[i]), ks[i + 1])  # no rounding past it
 
+    def locate(fn, ks, vals, i):
+        return _refine_batched(fn, ks, vals, i, width=LOCATE_WIDTH)
+
     scan = np.linspace(-SEED_RADIUS - 1.0, SEED_RADIUS + 1.0, SWEEP_SHOTS)
     for on in filter(None, (_coarse(spec), spec)):
         try:
-            k = _scan_root(lambda ks: mismatch(ks, on), scan, _refine_batched)
+            k = _scan_root(lambda ks: mismatch(ks, on), scan, locate)
             near = _sweep_around(k, np.finfo(float).eps, NEAR_REACH, max(1.0, abs(k)))
             k_root = _scan_root(mismatch, near, interpolate)
             break

@@ -19,7 +19,7 @@ from tribvp.problem_file import load_problem, loads
 from tribvp.solver import SWEEP_SHOTS, _refine_batched
 
 from test_acceptance import _admissible_template
-from test_operators import RefinerCases
+from test_operators import RefinerCases, convex_expm1, steep_tanh
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
@@ -338,6 +338,51 @@ class TestShooting:
                 assert np.abs(us[row] - u1).max() <= 1e-13
                 assert np.abs(vs[row] - v1).max() <= 1e-13
 
+    @staticmethod
+    def textbook_rk4(spec, u0, slope0, backward):
+        """shoot_ivp's sweep with u and v in two arrays, in the operation
+        order shoot_ivp keeps: float factors, 2.0 * k, left to right."""
+        phi, f, t = spec.phi, spec.rhs.fn, spec.grid.nodes
+        h = -spec.grid.h if backward else spec.grid.h
+        order = np.arange(spec.grid.n, -1, -1) if backward else np.arange(spec.grid.n + 1)
+        us = np.empty((spec.grid.n + 1,) + np.shape(u0))
+        vs = np.empty_like(us)
+        us[order[0]], vs[order[0]] = u0, phi.forward(slope0)
+        with np.errstate(all="ignore"):
+            for i, j in zip(order[:-1], order[1:]):
+                t0, uu, vv = float(t[i]), us[i], vs[i]
+                k1u = phi.inv_fn(vv)
+                k1v = f(t0, uu, k1u)
+                k2u = phi.inv_fn(vv + 0.5 * h * k1v)
+                k2v = f(t0 + 0.5 * h, uu + 0.5 * h * k1u, k2u)
+                k3u = phi.inv_fn(vv + 0.5 * h * k2v)
+                k3v = f(t0 + 0.5 * h, uu + 0.5 * h * k2u, k3u)
+                k4u = phi.inv_fn(vv + h * k3v)
+                k4v = f(t0 + h, uu + h * k3u, k4u)
+                us[j] = uu + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                vs[j] = vv + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            dead = ~(np.isfinite(us) & (np.abs(vs) < phi.a))[order[-1]]
+        us[:, dead] = np.nan
+        vs[:, dead] = np.nan
+        return us.T, vs.T
+
+    @pytest.mark.parametrize("bc,flux", GENERATED)
+    def test_ivp_is_the_textbook_sweep_bit_for_bit(self, bc, flux):
+        spec = generated(bc, flux, seed=1, n=100)
+        ks = np.linspace(-3.0, 3.0, SWEEP_SHOTS)
+        slopes = np.sinh(3.0 * ks)  # out to phi(u') = 0.99992 a: many shots die
+        dead = 0
+        for backward in (False, True):
+            got = shoot_ivp(spec, ks, slopes, backward=backward)
+            want = self.textbook_rk4(spec, ks, slopes, backward)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w, equal_nan=True)
+            dead += int(np.isnan(got[0]).all(axis=1).sum())
+            for g, w in zip(shoot_ivp(spec, 0.3, 0.3, backward=backward),
+                            self.textbook_rk4(spec, 0.3, 0.3, backward)):
+                assert np.array_equal(g, w)
+        assert 0 < dead < 2 * SWEEP_SHOTS
+
     def test_ivp_dying_shot_is_a_nan_row(self):
         # phi(u') = v0 + 0.4 t: the middle shot (v0 = 0.5) reaches a = 1 at
         # t = 1.25, its neighbours stay inside up to T = 2
@@ -432,10 +477,13 @@ class TestShooting:
         return sweeps
 
     @staticmethod
-    def assert_coarse_then_one_fine(spec, sweeps):
+    def assert_coarse_then_one_fine(spec, sweeps, coarse_sweeps):
         grids = [n for n, _ in sweeps]
         coarse = tribvp.solver._coarse(spec).grid.n
-        assert grids == [coarse] * (len(grids) - 1) + [spec.grid.n]
+        assert grids == [coarse] * coarse_sweeps + [spec.grid.n]
+
+    # the scan, then refining sweeps until the bracket is under LOCATE_WIDTH
+    DEMO_COARSE_SWEEPS = {"steep_slope": 3, "bounded_forcing": 2}
 
     @pytest.mark.parametrize("name", ["steep_slope", "bounded_forcing"])
     def test_demo_files_shoot_at_most_three_grids_of_steps(self, name, monkeypatch):
@@ -445,7 +493,7 @@ class TestShooting:
         # the sweep cost is per RK4 step: the coarse sweeps and the one fine
         # one take no more steps than three sweeps of the problem's grid
         assert sum(n for n, _ in sweeps) <= 3 * doc.spec.grid.n
-        self.assert_coarse_then_one_fine(doc.spec, sweeps)
+        self.assert_coarse_then_one_fine(doc.spec, sweeps, self.DEMO_COARSE_SWEEPS[name])
         assert sweeps[-1][1] == SWEEP_SHOTS - 1
         assert rep.iterations == len(sweeps)
 
@@ -455,7 +503,8 @@ class TestShooting:
         spec = generated(bc, flux, seed)
         sweeps = self.record_sweeps(monkeypatch)
         rep = solve_shooting(spec)
-        self.assert_coarse_then_one_fine(spec, sweeps)
+        # the scan and one refining sweep locate k to LOCATE_WIDTH
+        self.assert_coarse_then_one_fine(spec, sweeps, coarse_sweeps=2)
         assert sweeps[-1][1] == SWEEP_SHOTS - 1
         assert rep.iterations == len(sweeps)
 
@@ -666,6 +715,25 @@ class TestRefineBatched(RefinerCases):
         root, _ = self.refine(
             lambda x: np.where((x > 0.7) & (x < 0.8), np.nan, x - 0.3), 0.0, 1.0)
         assert root == 0.3
+
+    @pytest.mark.parametrize("fn", [steep_tanh, convex_expm1],
+                             ids=["steep_tanh", "convex_expm1"])
+    def test_a_width_stops_inside_a_bracket_under_it(self, fn):
+        _, to_adjacent_floats = self.refine(fn, 0.0, 1.0)
+        calls = []
+
+        def counted(xs):
+            calls.append(np.array(xs))
+            return fn(xs)
+        ks = np.array([0.0, 1.0])
+        estimate = _refine_batched(counted, ks, fn(ks), 0, width=1e-4)
+        assert len(calls) < len(to_adjacent_floats)
+        # the evaluated arguments on each side of the estimate straddle the
+        # root less than 1e-4 apart
+        xs = np.unique(np.concatenate([ks, *calls]))
+        hi = int(np.searchsorted(xs, estimate))
+        assert xs[hi - 1] < estimate < xs[hi] < xs[hi - 1] + 1e-4
+        assert fn(xs[hi - 1]) < 0.0 < fn(xs[hi])
 
 
 class TestCrossValidate:
