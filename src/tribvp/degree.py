@@ -8,7 +8,9 @@ circle of radius rho clipped to the strip, sampled at m equally spaced angles
 circle.  The winding is a sum of signed angle steps between consecutive
 boundary samples; a step of pi/2 or more bisects its segment, so no half-turn
 between samples is skipped silently.  Planar maps take arrays of points: the
-walk maps all samples in one call, and each round's midpoints in one call.
+walk maps all samples in one call of the planar map, and each round's
+midpoints in one call; `reduction_map` evaluates f on those points' lines
+`operators.BLOCK // (n + 1)` lines at a time.
 
 `reduction_map` collapses a p1/p1t boundary value problem to the plane: a
 two-parameter family of affine candidates u = x + y (t - t_e), with t_e = 0

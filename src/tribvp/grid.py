@@ -7,10 +7,23 @@ are never reconstructed by differencing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+
+def integer_at_least(name: str, value, least: int) -> int:
+    """value as an int when it is a Python or numpy integer (not a float of
+    integral value) no less than least; else a ValueError naming the field."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return number
 
 
 def _locked(values) -> np.ndarray:
@@ -29,8 +42,7 @@ class Grid:
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"horizon must be positive and finite, got {self.T!r}")
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"interval count must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", integer_at_least("interval count", self.n, 2))
 
     @property
     def h(self) -> float:

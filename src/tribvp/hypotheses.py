@@ -22,8 +22,15 @@ the slope by r and the solution norm by r * (2 + T); see `HypothesisReport`.
 Sampled conditions probe f at points i = 1..N of the R_3 Kronecker sequence
 (shift + i * (g^-1, g^-2, g^-3)) mod 1, g the real root of x^4 = x + 1, mapped
 affinely onto the box; the Cranley-Patterson shift is drawn from the box seed.
-The points are built one contiguous coordinate at a time: a float `%` over
-the strided (N, 3) layout took two thirds of a probe, f's evaluation included.
+A probe walks the points in blocks of `operators.BLOCK`, building each block
+one contiguous coordinate at a time (a float `%` over the strided (N, 3)
+layout took two thirds of a probe) and calling f once per block, so that no
+temporary is large enough to be mapped and page-faulted afresh.  Each check
+folds its verdict over the blocks in order and gets the verdict and
+counterexample of one pass over all N points: the first non-finite value or
+envelope dip ends the probe at its block, while the least |f| of a sign
+failure and the largest |f| of the p2 bound are the first such over all
+blocks.
 """
 
 from __future__ import annotations
@@ -31,12 +38,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import HypothesisFailed, InvalidThresholds
-from .operators import BoundaryCondition, ProblemSpec, mean_value
+from .grid import integer_at_least
+from .operators import BLOCK, BoundaryCondition, ProblemSpec, mean_value
 
 __all__ = [
     "Verdict", "ConditionVerdict", "SamplingBox", "HypothesisData",
@@ -73,14 +81,12 @@ class SamplingBox:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.samples >= 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples!r}")
+        object.__setattr__(self, "samples", integer_at_least("samples", self.samples, 1))
         for name in ("x_halfwidth", "y_span"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", integer_at_least("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -132,13 +138,12 @@ class HypothesisReport:
 _R3_ALPHA = 1.2207440846057596 ** -np.arange(1.0, 4.0)  # root of x^4 = x + 1
 
 
-def _quasi_random(count: int, seed: int) -> list[np.ndarray]:
-    """Points 1..count of the shifted R_3 sequence as three contiguous
-    coordinate arrays, bit-identical to (shift + i * _R3_ALPHA) % 1.0 on an
-    (N, 3) array (x - floor(x) is exact for x >= 0) without that strided
+def _quasi_random(shift: np.ndarray, start: int, stop: int) -> list[np.ndarray]:
+    """Points start + 1..stop of the R_3 sequence shifted by `shift`, as three
+    contiguous coordinate arrays, bit-identical to (shift + i * _R3_ALPHA) % 1.0
+    on an (N, 3) array (x - floor(x) is exact for x >= 0) without that strided
     float `%`, which took two thirds of a probe."""
-    shift = np.random.default_rng(seed).random(3)
-    i = np.arange(1, count + 1, dtype=float)
+    i = np.arange(start + 1, stop + 1, dtype=float)
     cols = [i * a + s for a, s in zip(_R3_ALPHA, shift)]
     for u in cols:
         u -= np.floor(u)
@@ -146,12 +151,22 @@ def _quasi_random(count: int, seed: int) -> list[np.ndarray]:
 
 
 def _probe(spec: ProblemSpec, box: SamplingBox, y_lo: float, y_hi: float,
-           seed_shift: int) -> tuple[np.ndarray, ...]:
-    t, x, y = _quasi_random(box.samples, box.seed + seed_shift)
-    t *= spec.grid.T
-    x = (2.0 * x - 1.0) * box.x_halfwidth
-    y = y_lo + y * (y_hi - y_lo)
-    return t, x, y, spec.rhs(t, x, y)
+           seed_shift: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The box's samples in order, as blocks (t, x, y, f) of at most BLOCK
+    points: block k holds points k BLOCK + 1..(k + 1) BLOCK of the sequence,
+    with the shift drawn from box.seed + seed_shift, and y in [y_lo, y_hi)."""
+    shift = np.random.default_rng(box.seed + seed_shift).random(3)
+    for start in range(0, box.samples, BLOCK):
+        t, x, y = _quasi_random(shift, start, min(start + BLOCK, box.samples))
+        t *= spec.grid.T
+        x = (2.0 * x - 1.0) * box.x_halfwidth
+        y = y_lo + y * (y_hi - y_lo)
+        yield t, x, y, spec.rhs(t, x, y)
+
+
+def _point(t: np.ndarray, x: np.ndarray, y: np.ndarray, j: int) -> tuple:
+    """Sample j of a block as a counterexample (t, x, y)."""
+    return float(t[j]), float(x[j]), float(y[j])
 
 
 def _strict_sign(f: np.ndarray) -> int:
@@ -177,20 +192,26 @@ def check_sign_condition(spec: ProblemSpec, m1: float, m2: float,
     signs = []
     for name, y_lo, y_hi, seed_shift in (("y >= M2", m2, m2 + box.y_span, 1),
                                          ("y <= M1", m1 - box.y_span, m1, 2)):
-        t, x, y, f = _probe(spec, box, y_lo, y_hi, seed_shift)
-        if not np.isfinite(f).all():
-            j = int(np.argmin(np.isfinite(f)))
-            return ConditionVerdict(
-                Verdict.FAIL, f"f not finite on {name}", total,
-                (float(t[j]), float(x[j]), float(y[j])))
-        signs.append(_strict_sign(f))
-        if signs[-1] == 0:
-            j = int(np.argmin(np.abs(f)))
+        sign, least, where = None, math.inf, None
+        for t, x, y, f in _probe(spec, box, y_lo, y_hi, seed_shift):
+            finite = np.isfinite(f)
+            if not finite.all():  # the slab's first: every earlier block was finite
+                return ConditionVerdict(
+                    Verdict.FAIL, f"f not finite on {name}", total,
+                    _point(t, x, y, int(np.argmin(finite))))
+            block_sign = _strict_sign(f)
+            sign = block_sign if sign in (None, block_sign) else 0
+            a = np.abs(f)
+            j = int(np.argmin(a))
+            if a[j] < least:  # strictly: the slab's first least |f|
+                least, where = float(a[j]), _point(t, x, y, j)
+        if sign == 0:
             return ConditionVerdict(
                 Verdict.FAIL,
                 f"no strict constant sign on {name} (pointwise condition "
                 "violated; the integral form remains undetermined)",
-                total, (float(t[j]), float(x[j]), float(y[j])))
+                total, where)
+        signs.append(sign)
     if signs[0] == signs[1]:
         return ConditionVerdict(
             Verdict.FAIL,
@@ -223,19 +244,20 @@ def compute_bounds_p1(spec: ProblemSpec, m1: float, m2: float,
     grid = spec.grid
     c_fn = c_lower if callable(c_lower) else (lambda t, c=float(c_lower): np.full(np.shape(t), c))
 
-    t, x, y, f = _probe(spec, box, -box.y_span + min(0.0, m1),
-                        box.y_span + max(0.0, m2), seed_shift=3)
-    c_at = np.broadcast_to(np.asarray(c_fn(t), dtype=float), t.shape).astype(float)
     verdicts: dict[str, ConditionVerdict] = {}
-    bad = ~(f >= c_at)  # a NaN in f or c(t) fails too
-    if bad.any():
-        j = int(np.argmax(bad))
-        finite = np.isfinite(f[j]) and np.isfinite(c_at[j])
-        verdicts["envelope"] = ConditionVerdict(
-            Verdict.FAIL,
-            f"f = {f[j]:.6g} dips below c = {c_at[j]:.6g}" if finite else
-            f"f or c(t) not finite: f = {f[j]:.6g}, c = {c_at[j]:.6g}",
-            box.samples, (float(t[j]), float(x[j]), float(y[j])))
+    for t, x, y, f in _probe(spec, box, -box.y_span + min(0.0, m1),
+                             box.y_span + max(0.0, m2), seed_shift=3):
+        c_at = np.broadcast_to(np.asarray(c_fn(t), dtype=float), t.shape)
+        bad = ~(f >= c_at)  # a NaN in f or c(t) fails too
+        if bad.any():  # the slab's first dip: every earlier block passed
+            j = int(np.argmax(bad))
+            finite = np.isfinite(f[j]) and np.isfinite(c_at[j])
+            verdicts["envelope"] = ConditionVerdict(
+                Verdict.FAIL,
+                f"f = {f[j]:.6g} dips below c = {c_at[j]:.6g}" if finite else
+                f"f or c(t) not finite: f = {f[j]:.6g}, c = {c_at[j]:.6g}",
+                box.samples, _point(t, x, y, j))
+            break
     else:
         verdicts["envelope"] = ConditionVerdict(
             Verdict.SAMPLED_ONLY,
@@ -272,16 +294,19 @@ def check_bound_p2(spec: ProblemSpec, c_bound: float | None = None,
     """
     grid = spec.grid
     limit = spec.phi.a / (2.0 * grid.T)
-    t, x, y, f = _probe(spec, box, -box.y_span, box.y_span, seed_shift=4)
-    finite = np.isfinite(f)
     verdicts: dict[str, ConditionVerdict] = {}
-    if not finite.all():
-        j = int(np.argmin(finite))
-        verdicts["bound"] = ConditionVerdict(
-            Verdict.FAIL, "f not finite on the sampling box", box.samples,
-            (float(t[j]), float(x[j]), float(y[j])))
-        return HypothesisReport(bc_case=spec.bc, verdicts=verdicts, c_bound=c_bound)
-    emp_max = float(np.abs(f).max())
+    emp_max, where = -math.inf, None
+    for t, x, y, f in _probe(spec, box, -box.y_span, box.y_span, seed_shift=4):
+        finite = np.isfinite(f)
+        if not finite.all():  # the box's first: every earlier block was finite
+            verdicts["bound"] = ConditionVerdict(
+                Verdict.FAIL, "f not finite on the sampling box", box.samples,
+                _point(t, x, y, int(np.argmin(finite))))
+            return HypothesisReport(bc_case=spec.bc, verdicts=verdicts, c_bound=c_bound)
+        a = np.abs(f)
+        j = int(np.argmax(a))
+        if a[j] > emp_max:  # strictly: the box's first largest |f|
+            emp_max, where = float(a[j]), _point(t, x, y, j)
 
     if c_bound is not None:
         c_eff = float(c_bound)
@@ -290,11 +315,10 @@ def check_bound_p2(spec: ProblemSpec, c_bound: float | None = None,
             Verdict.PASS if ok else Verdict.FAIL,
             f"{c_eff:.10g} {'<' if ok else '>='} {limit:.10g}")
         if emp_max > c_eff:
-            j = int(np.argmax(np.abs(f)))
             verdicts["bound_consistency"] = ConditionVerdict(
                 Verdict.FAIL,
                 f"sampled |f| reached {emp_max:.6g}, above the asserted bound",
-                box.samples, (float(t[j]), float(x[j]), float(y[j])))
+                box.samples, where)
         else:
             verdicts["bound_consistency"] = ConditionVerdict(
                 Verdict.SAMPLED_ONLY,

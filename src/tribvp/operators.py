@@ -40,6 +40,12 @@ __all__ = [
     "bc_defects", "residual",
 ]
 
+# The most points f sees in one call from the sampler or the degree map (unless
+# one line of the grid is longer): 64 KiB per float array, under glibc's
+# 128 KiB mmap threshold, so a block's temporaries come from the heap and stay
+# in cache instead of each being mapped and page-faulted afresh.
+BLOCK = 8192
+
 
 class BoundaryCondition(enum.Enum):
     """The three-point conditions of the module docstring.  `end` is the node
@@ -101,16 +107,23 @@ def nemytskii(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
 
 def affine_mean(spec: ProblemSpec, x, y) -> np.ndarray:
     """Trapezoid mean over [0, T] of f(t, x + y (t - t_e), y), t_e the node
-    `spec.bc.end`, for x and y broadcast against each other, with one call of
-    f on the (..., n + 1) array of lines; NaN where the mean is not finite."""
-    t = spec.grid.nodes
-    x = np.expand_dims(x, -1) if np.ndim(x) else x
-    y = np.expand_dims(y, -1) if np.ndim(y) else y
-    u = x + y * (t - t[spec.bc.end])
-    vals = spec.rhs(t, u, y)
+    `spec.bc.end`, for x and y broadcast against each other; NaN where the
+    mean is not finite.  f is called on max(1, BLOCK // (n + 1)) lines at a
+    time, as a (lines, n + 1) array, so its temporaries stay in cache; each
+    line is a row of its own, so how they are blocked changes no value."""
+    grid = spec.grid
+    t = grid.nodes
+    dt = t - t[spec.bc.end]
+    x, y = np.broadcast_arrays(x, y)
+    mean = np.empty(x.shape)
+    xs, ys, out = x.reshape(-1, 1), y.reshape(-1, 1), mean.reshape(-1)
+    lines = max(1, BLOCK // len(t))
+    for i in range(0, len(out), lines):
+        yi = ys[i:i + lines]
+        out[i:i + lines] = _trapz(grid, spec.rhs(t, xs[i:i + lines] + yi * dt, yi))
     with np.errstate(all="ignore"):
-        mean = _trapz(spec.grid, vals) / spec.grid.T
-        return mean + 0.0 * mean  # 0 * inf is NaN; finite means pass unchanged
+        mean /= grid.T
+        return (mean + 0.0 * mean)[()]  # 0 * inf is NaN; finite means pass unchanged
 
 
 def _trapz(grid: Grid, v: np.ndarray):

@@ -59,3 +59,15 @@ def test_norms():
                      np.array([1.0, 1.0, -4.0, 0.0, 0.0]))
     assert norm_sup(u.values) == 3.0
     assert norm_c1(u) == 7.0
+
+
+@pytest.mark.parametrize("n", [400.0, 2.5, float("inf"), "400", None])
+def test_grid_takes_integer_n_only(n):
+    with pytest.raises(ValueError, match="interval count must be an integer"):
+        Grid(1.0, n)
+
+
+def test_grid_numpy_integer_n_becomes_an_int():
+    g = Grid(1.0, np.int64(4))
+    assert g.n == 4 and type(g.n) is int
+    assert len(g.nodes) == 5

@@ -5,11 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tribvp.hypotheses
 from tribvp import (BoundaryCondition, Grid, HypothesisData, HypothesisFailed,
                     InvalidThresholds, ProblemSpec, RightHandSide, SamplingBox,
                     Verdict, check_problem, curvature, load_problem, scaled_atan)
+from tribvp.degree import degree_for_problem
 from tribvp.hypotheses import (_R3_ALPHA, _probe, _quasi_random, check_bound_p2,
                                check_sign_condition, compute_bounds_p1)
+from tribvp.operators import BLOCK
 
 BOX = SamplingBox(samples=20_000, seed=0)  # smaller box keeps the suite fast
 PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
@@ -30,9 +33,30 @@ def counting(spec):
     sizes = []
 
     def fn(t, u, v):
-        sizes.append(np.size(t))
+        sizes.append(np.size(np.broadcast(t, u, v)))
         return spec.rhs.fn(t, u, v)
     return replace(spec, rhs=RightHandSide(fn=fn)), sizes
+
+
+def blocks(samples):
+    """The block sizes of one probe of `samples` points."""
+    return [BLOCK] * (samples // BLOCK) + [samples % BLOCK] * (samples % BLOCK > 0)
+
+
+def probed(spec, box, y_lo, y_hi, seed_shift):
+    """A probe's blocks (t, x, y, f), concatenated."""
+    return [np.concatenate(cols) for cols in zip(*_probe(spec, box, y_lo, y_hi, seed_shift))]
+
+
+def reference_probe(spec, box, y_lo, y_hi, seed_shift):
+    """The probe's points and f from the whole (N, 3) point array at once."""
+    shift = np.random.default_rng(box.seed + seed_shift).random(3)
+    i = np.arange(1, box.samples + 1, dtype=float)[:, None]
+    pts = (shift + i * _R3_ALPHA) % 1.0
+    t = pts[:, 0] * spec.grid.T
+    x = (2.0 * pts[:, 1] - 1.0) * box.x_halfwidth
+    y = y_lo + pts[:, 2] * (y_hi - y_lo)
+    return t, x, y, spec.rhs(t, x, y)
 
 
 class TestSampler:
@@ -43,7 +67,7 @@ class TestSampler:
                            RightHandSide(fn=lambda t, u, v: 0.0 * t),
                            BoundaryCondition.P2)
         box = SamplingBox(x_halfwidth=0.5, samples=samples, seed=seed)
-        t, x, y, _ = _probe(spec, box, 0.0, 1.0, seed_shift=0)
+        t, x, y, _ = probed(spec, box, 0.0, 1.0, seed_shift=0)
         return np.column_stack([t, x + 0.5, y])
 
     def test_points_in_unit_cube_and_seeded(self):
@@ -65,14 +89,18 @@ class TestSampler:
     @pytest.mark.parametrize("count", [1, 2, 1000, 100_000])
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_identical_to_the_remainder_of_the_point_array(self, seed, count):
+        # block by block: points start + 1..stop of the sequence each time
         shift = np.random.default_rng(seed).random(3)
         i = np.arange(1, count + 1, dtype=float)[:, None]
         reference = (shift + i * _R3_ALPHA) % 1.0
-        cols = _quasi_random(count, seed)
-        assert len(cols) == 3
-        for k, col in enumerate(cols):
-            assert col.flags.c_contiguous and col.shape == (count,)
-            assert col.tobytes() == np.ascontiguousarray(reference[:, k]).tobytes()
+        for start in range(0, count, BLOCK):
+            stop = min(start + BLOCK, count)
+            cols = _quasi_random(shift, start, stop)
+            assert len(cols) == 3
+            for k, col in enumerate(cols):
+                assert col.flags.c_contiguous and col.shape == (stop - start,)
+                want = np.ascontiguousarray(reference[start:stop, k])
+                assert col.tobytes() == want.tobytes()
 
     def test_probe_box_map_is_bit_identical_to_the_reference(self):
         spec = ProblemSpec(Grid(0.37, 10), curvature(),
@@ -85,7 +113,7 @@ class TestSampler:
         t = pts[:, 0] * 0.37
         x = (2.0 * pts[:, 1] - 1.0) * 3.3
         y = -1.7 + pts[:, 2] * (0.9 - -1.7)
-        got = _probe(spec, box, -1.7, 0.9, seed_shift=2)
+        got = probed(spec, box, -1.7, 0.9, seed_shift=2)
         for a, b in zip(got, (t, x, y, t * x - y)):
             assert a.tobytes() == b.tobytes()
 
@@ -98,10 +126,23 @@ class TestSamplingBox:
         ("y_span", 0.0), ("y_span", -2.0),
         ("y_span", math.inf), ("y_span", math.nan),
         ("seed", -2),
+        ("samples", 2.5), ("samples", math.inf), ("seed", 2.5),
     ])
     def test_rejects_unusable_box(self, name, value):
         with pytest.raises(ValueError, match=name):
             SamplingBox(**{name: value})
+
+    @pytest.mark.parametrize("name", ["samples", "seed"])
+    def test_rejects_floats_of_integral_value(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SamplingBox(**{name: 5.0})
+
+    def test_numpy_integers_become_ints(self):
+        box = SamplingBox(samples=np.int64(1000), seed=np.uint8(2))
+        assert (box.samples, box.seed) == (1000, 2)
+        assert type(box.samples) is int and type(box.seed) is int
+        v = check_sign_condition(steep_spec(), 0.0, 0.5, box)
+        assert v.samples == 2000 and "on 2000 samples" in v.detail
 
     def test_smallest_usable_box(self):
         box = SamplingBox(x_halfwidth=1e-300, y_span=1e-300, samples=1, seed=0)
@@ -110,16 +151,154 @@ class TestSamplingBox:
 
 
 class TestProbeCount:
-    """f is called once per probe, on all of the box's samples at once."""
+    """f is called once per block of a probe: BLOCK points at a time, and
+    the rest of the box's samples last."""
 
     @pytest.mark.parametrize("name, calls", [("steep_slope.prob", 3),
                                              ("bounded_forcing.prob", 1)])
-    def test_full_size_calls_per_check_problem(self, name, calls):
+    def test_block_calls_per_check_problem(self, name, calls):
         doc = load_problem(PROBLEMS / name)
         spec, sizes = counting(doc.spec)
         box = SamplingBox()
         assert check_problem(spec, doc.hypothesis_data, box).passed
-        assert sizes == [box.samples] * calls
+        assert blocks(box.samples) == [8192] * 12 + [1696]
+        assert sizes == blocks(box.samples) * calls  # never more than BLOCK
+
+    @pytest.mark.parametrize("f", [None, lambda t, u, v: np.sin(40 * v)],
+                             ids=["demo", "refining"])
+    def test_degree_never_calls_f_on_more_than_a_block(self, f):
+        # the demo's rho and kappa; sin(40 v) makes the walk bisect
+        spec = load_problem(PROBLEMS / "steep_slope.prob").spec
+        if f is not None:
+            spec = replace(spec, rhs=RightHandSide(fn=f))
+        spec, sizes = counting(spec)
+        res = degree_for_problem(spec, 1.2, 0.9)
+        assert res.refined == (f is not None)
+        lines = BLOCK // (spec.grid.n + 1)
+        assert lines == 20 and max(sizes) == lines * (spec.grid.n + 1) <= BLOCK
+        assert sum(sizes) == res.samples_used * (spec.grid.n + 1)
+
+
+def spikes(base, at):
+    """f = base everywhere but at the probe points whose t is a key of `at`,
+    where it is that key's value."""
+    def fn(t, u, v):
+        out = np.full(np.shape(t), base)
+        for tk, value in at.items():
+            out[t == tk] = value
+        return out
+    return fn
+
+
+def probe_t(box, seed_shift):
+    """t of a probe's points in order, for T = 1."""
+    shift = np.random.default_rng(box.seed + seed_shift).random(3)
+    return _quasi_random(shift, 0, box.samples)[0]
+
+
+class TestBlockEdges:
+    """The folds over blocks give what one pass over the whole probe gives."""
+
+    BOX = SamplingBox(samples=4 * BLOCK + 1000, seed=3)  # 5 blocks, the last short
+
+    @staticmethod
+    def spec(fn, bc=BoundaryCondition.P1):
+        return ProblemSpec(Grid(1.0, 20), curvature(), RightHandSide(fn=fn), bc)
+
+    @staticmethod
+    def verdicts(spec, box):
+        if spec.bc is BoundaryCondition.P2:
+            return [check_bound_p2(spec, c, box) for c in (None, 0.3)]
+        return [check_sign_condition(spec, -0.2, 0.3, box),
+                compute_bounds_p1(spec, -0.2, 0.3, -0.4, box)]
+
+    @pytest.mark.parametrize("samples", [1, 8191, 8192, 8193, 100_000])
+    @pytest.mark.parametrize("fn, bc", [
+        (lambda t, u, v: np.sin(7 * v + u) + 0.5 * t, BoundaryCondition.P1),
+        (lambda t, u, v: np.exp(2 * v) - 1.0 + 0.0 * u, BoundaryCondition.P1),
+        (lambda t, u, v: np.log(v + 0.9) + u, BoundaryCondition.P1),
+        (lambda t, u, v: 0.4 * np.cos(3 * u + t) * np.round(v), BoundaryCondition.P2),
+        (lambda t, u, v: np.sqrt(u + 9.0) * v, BoundaryCondition.P2),
+    ], ids=["sin", "exp", "log", "round", "sqrt"])
+    def test_points_values_and_verdicts_equal_the_unblocked_pass(
+            self, monkeypatch, fn, bc, samples):
+        spec = self.spec(fn, bc)
+        box = SamplingBox(x_halfwidth=10.0, samples=samples, seed=1)
+        for y_lo, y_hi, shift in ((0.3, 10.3, 1), (-10.2, -0.2, 2), (-10.2, 10.3, 3)):
+            got = probed(spec, box, y_lo, y_hi, shift)
+            for a, b in zip(got, reference_probe(spec, box, y_lo, y_hi, shift)):
+                assert a.tobytes() == b.tobytes()
+        blocked = self.verdicts(spec, box)
+        monkeypatch.setattr(tribvp.hypotheses, "BLOCK", samples)  # one block
+        assert repr(blocked) == repr(self.verdicts(spec, box))
+
+    def test_sign_counterexample_is_the_first_least_f_of_all_blocks(self):
+        # |f| = 0.25 at a point of block 2 and again at one of block 4,
+        # below the 0.5 of block 1: the tie goes to block 2
+        t = probe_t(self.BOX, 1)
+        at = {t[10]: 0.5, t[BLOCK + 7]: -0.25, t[3 * BLOCK + 1]: 0.25}
+        spec, sizes = counting(self.spec(spikes(1.0, at)))
+        v = check_sign_condition(spec, -0.2, 0.3, self.BOX)
+        assert v.status is Verdict.FAIL and v.detail.startswith(
+            "no strict constant sign on y >= M2")
+        assert v.counterexample[0] == t[BLOCK + 7]
+        assert sizes == blocks(self.BOX.samples)  # the y <= M1 slab is skipped
+
+    @pytest.mark.parametrize("first, second", [
+        (4 * BLOCK + 2, 4 * BLOCK + 9),  # both in the last block
+        (BLOCK + 3, 3 * BLOCK + 8),      # in blocks 2 and 4
+    ], ids=["last-block", "across-blocks"])
+    def test_p2_consistency_counterexample_is_the_first_largest_f(self, first, second):
+        t = probe_t(self.BOX, 4)
+        at = {t[5]: 0.3, t[first]: -0.45, t[second]: 0.45}
+        spec = self.spec(spikes(0.1, at), BoundaryCondition.P2)
+        rep = check_bound_p2(spec, 0.2, self.BOX)
+        v = rep.verdicts["bound_consistency"]
+        assert v.status is Verdict.FAIL and "reached 0.45" in v.detail
+        assert v.counterexample[0] == t[first]
+        assert rep.c_bound == 0.2
+
+    def test_nan_first_seen_in_block_3_returns_there(self):
+        t = probe_t(self.BOX, 1)
+        j = 2 * BLOCK + 100
+        spec, sizes = counting(self.spec(spikes(1.0, {t[j]: math.nan})))
+        v = check_sign_condition(spec, -0.2, 0.3, self.BOX)
+        assert v.detail == "f not finite on y >= M2"
+        assert v.counterexample[0] == t[j]
+        assert sizes == [BLOCK] * 3
+
+    def test_nan_in_block_3_outranks_a_sign_failure_in_block_1(self):
+        # f = -1 on the y >= M2 slab; on the y <= M1 slab a +1 in block 1
+        # breaks the sign and a NaN in block 3 comes later
+        t = probe_t(self.BOX, 2)
+        j = 2 * BLOCK + 100
+        at = {t[5]: 1.0, t[j]: math.nan, t[j + 1]: math.nan}
+        spec, sizes = counting(self.spec(spikes(-1.0, at)))
+        v = check_sign_condition(spec, -0.2, 0.3, self.BOX)
+        assert v.detail == "f not finite on y <= M1"
+        assert v.counterexample[0] == t[j]
+        assert sizes == blocks(self.BOX.samples) + [BLOCK] * 3
+
+    def test_envelope_dip_first_seen_in_block_3_returns_there(self):
+        t = probe_t(self.BOX, 3)
+        j = 3 * BLOCK - 1  # the last point of block 3
+        spec, sizes = counting(self.spec(spikes(0.0, {t[j]: -2.0, t[j + 1]: -3.0})))
+        rep = compute_bounds_p1(spec, -0.2, 0.3, -1.0, self.BOX)
+        v = rep.verdicts["envelope"]
+        assert v.detail == "f = -2 dips below c = -1"
+        assert v.counterexample[0] == t[j]
+        assert sizes == [BLOCK] * 3
+
+    def test_p2_nan_first_seen_in_block_3_returns_there(self):
+        t = probe_t(self.BOX, 4)
+        j = 2 * BLOCK
+        spec, sizes = counting(self.spec(spikes(0.1, {t[j]: math.inf}),
+                                         BoundaryCondition.P2))
+        rep = check_bound_p2(spec, None, self.BOX)
+        v = rep.verdicts["bound"]
+        assert v.detail == "f not finite on the sampling box"
+        assert v.counterexample[0] == t[j]
+        assert sizes == [BLOCK] * 3
 
 
 class TestSignCondition:
@@ -157,11 +336,14 @@ class TestSignCondition:
         t, x, y = v.counterexample
         assert 0.0 <= t <= 1.0 and y <= -1.0
 
-    @pytest.mark.parametrize("fn, detail", [
-        (lambda t, u, v: np.sin(3 * v), "no strict constant sign on y >= M2"),
-        (lambda t, u, v: np.sqrt(-v), "f not finite on y >= M2"),
+    @pytest.mark.parametrize("fn, detail, calls", [
+        # a sign failure waits for every block (a later NaN would outrank
+        # it); a NaN returns at the first block
+        (lambda t, u, v: np.sin(3 * v), "no strict constant sign on y >= M2",
+         [8192, 8192, 3616]),
+        (lambda t, u, v: np.sqrt(-v), "f not finite on y >= M2", [8192]),
     ], ids=["sign", "nan"])
-    def test_failure_on_y_ge_m2_skips_the_y_le_m1_probe(self, fn, detail):
+    def test_failure_on_y_ge_m2_skips_the_y_le_m1_probe(self, fn, detail, calls):
         spec, sizes = counting(ProblemSpec(Grid(1.0, 50), curvature(),
                                            RightHandSide(fn=fn),
                                            BoundaryCondition.P1))
@@ -170,7 +352,7 @@ class TestSignCondition:
         assert v.detail.startswith(detail)
         assert v.samples == 2 * BOX.samples
         assert v.counterexample[2] >= 1.0
-        assert sizes == [BOX.samples]
+        assert sizes == calls
 
     def test_thresholds_must_be_ordered(self):
         with pytest.raises(InvalidThresholds):

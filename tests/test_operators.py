@@ -13,7 +13,7 @@ from tribvp import (BoundaryCondition, Grid, GridFunction, NonFinite,
                     fixed_point_map, mean_value, nemytskii, residual,
                     running_integral, running_integral_from_end, scaled_atan)
 from tribvp.expressions import as_callable, evaluate, parse
-from tribvp.operators import _bracket_root, _trapz
+from tribvp.operators import BLOCK, _bracket_root, _trapz
 
 
 def make_spec(T=1.0, n=100, f=lambda t, u, v: 0 * t, bc=BoundaryCondition.P1,
@@ -230,6 +230,27 @@ class TestAffineMean:
         u = GridFunction(spec.grid, 0.3 + 0.2 * spec.grid.nodes, np.full(51, 0.2))
         assert affine_mean(spec, 0.3, 0.2) == pytest.approx(
             mean_value(spec.grid, nemytskii(spec, u)), rel=1e-14)
+
+    @pytest.mark.parametrize("n, count, calls", [
+        (50, 400, [160, 160, 80]),   # 160 lines of 51 nodes fill 8160 of BLOCK
+        (8191, 3, [1, 1, 1]),        # one line fills the block
+        (8192, 3, [1, 1, 1]),        # one line is longer than the block
+    ])
+    def test_f_sees_blocks_of_lines(self, n, count, calls):
+        sizes = []
+
+        def f(t, u, v):
+            sizes.append(u.shape)
+            return np.cos(3 * t) * u + v**2 - 0.1 * u * v
+        spec = make_spec(T=0.7, n=n, f=f)
+        x = np.linspace(-1.0, 1.0, count)
+        y = np.linspace(0.5, -0.5, count)
+        batch = affine_mean(spec, x, y)
+        assert sizes == [(k, n + 1) for k in calls]
+        assert max(BLOCK // (n + 1), 1) == calls[0]
+        # each line's mean is that of a call on the line alone
+        for j in range(count):
+            assert batch[j] == affine_mean(spec, x[j], y[j])
 
     def test_nan_where_f_is_not_finite_on_a_line(self):
         # log(1 + u) is undefined once a line dips to u <= -1
