@@ -71,7 +71,12 @@ class BoundaryCondition(enum.Enum):
 
 @dataclass(frozen=True)
 class RightHandSide:
-    """f(t, x, y) evaluated vectorized; x is the value slot, y the slope slot."""
+    """f(t, x, y) evaluated vectorized; x is the value slot, y the slope slot.
+
+    Every argument may be an array, and they broadcast: `nemytskii` and
+    `affine_mean` pass t as an array of nodes, and the shooting oracle's
+    near sweep passes t as an (S, 1) array, one time per parareal segment,
+    against (S, shots) arrays of u and u'."""
 
     fn: Callable[[Any, Any, Any], Any]
 

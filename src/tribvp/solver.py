@@ -20,9 +20,12 @@ by sweeps placed geometrically around an interpolated root estimate, until
 its bracket is under LOCATE_WIDTH max(1, |k|), on the coarse grid or else on
 the problem's; then one sweep on the problem's grid, close around that
 estimate, brackets it again, and the solution interpolates the two shots of
-that bracket.  A shot whose flux leaves (-a, a) gets a NaN u at its next
-stage and keeps it, so a sweep runs to its end, even when every shot dies,
-and decides there which died.
+that bracket.  That near sweep runs time-parallel, by parareal over about
+sqrt(n) segments (`_shoot_parareal`); every other sweep is `shoot_ivp`'s
+serial one, and both step through one RK4 kernel, `_rk4`.  A shot whose
+flux leaves (-a, a) gets a NaN u at its next stage and keeps it, so a
+serial sweep runs to its end, even when every shot dies, and decides there
+which died; a parareal sweep in which any flux leaves gives way to it.
 Agreement between the two routes is the package's main self-check.
 
 Every scalar equation, the lambda = 0 seed, the p2 balancing constant in
@@ -66,6 +69,7 @@ COARSENING = 8       # the seed and shooting scan first on n // 8 intervals ...
 MIN_COARSE_N = 16    # ... but on no fewer than 16
 NEAR_REACH = 1e-6    # the near sweep around a located root reaches 1e-6 max(1, |k|)
 LOCATE_WIDTH = 1e-4  # a root is located once its bracket is under 1e-4 max(1, |k|)
+SEAM_TOL = 1e-14     # a parareal seam closes within 1e-14 max(1, |y|), in u and u'
 BACKENDS = ("fixed-point", "shooting", "both")
 ANDERSON_DEPTH = 5   # secant pairs kept per lambda-stage
 MAX_HALVINGS = 6     # pull-backs of one out-of-domain iterate before giving up
@@ -108,8 +112,8 @@ class SolveReport:
     """Outcome of a solve.
 
     `iterations` counts the fixed-point map evaluations of the accepted
-    stages for the fixed-point backend, and the sweeps (calls of `shoot_ivp`)
-    for the shooting backend, on the coarse grid and on the problem's grid
+    stages for the fixed-point backend, and the sweeps for the shooting
+    backend, serial or parareal, on the coarse grid and on the problem's grid
     alike; `cross_validate` reports the sum.  `solution_family` is the
     fixed-point route's flag (f == 0 under p1/p1t sets it): the shooting
     backend reports False, and `cross_validate` copies the fixed-point value.
@@ -389,6 +393,37 @@ def _root_estimate(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float,
 
 # ------------------------------------------------------------------ shooting
 
+def _rk4(f, inv, ys: np.ndarray, ts, h: float) -> None:
+    """Classical Runge-Kutta steps of h for u' = inv(v), v' = f(t, u, inv(v)):
+    for each i, ys[i + 1] becomes the state one step on from ys[i], a step
+    that starts at time ts[i].  A state is stacked, u in its row 0 and v in
+    its row 1, each of any shape f accepts, and a time is a float or an array
+    that broadcasts against them.  Each RK4 combination acts on u and v at
+    once, in the operation order of u and v stepped as two arrays."""
+    k1, k2, k3, k4, mid = (np.empty(ys.shape[1:]) for _ in range(5))
+
+    def stage(t, y, k):
+        k[0] = inv(y[1])
+        k[1] = f(t, y[0], k[0])
+
+    # 0-d factors and k + k give the bits of float * array and 2.0 * k, faster
+    h_half, h_full, h_sixth = (np.array(c) for c in (0.5 * h, h, h / 6.0))
+    for i, t0 in enumerate(ts):
+        yi = ys[i]
+        stage(t0, yi, k1)
+        stage(t0 + 0.5 * h, np.add(yi, h_half * k1, out=mid), k2)
+        stage(t0 + 0.5 * h, np.add(yi, h_half * k2, out=mid), k3)
+        stage(t0 + h, np.add(yi, h_full * k3, out=mid), k4)
+        ys[i + 1] = yi + h_sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+
+
+def _by_node(ys: np.ndarray, shape: tuple, backward: bool) -> tuple[np.ndarray, np.ndarray]:
+    """u and v of a swept (n + 1, 2, shots) state, in ascending node order,
+    each of shape + (n + 1,)."""
+    ys = ys[::-1] if backward else ys
+    return tuple(x.T.reshape(shape + (len(ys),)) for x in (ys[:, 0], ys[:, 1]))
+
+
 def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
               backward: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step classical Runge-Kutta for the first-order system
@@ -403,64 +438,110 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
     broadcast shape is integrated in the same sweep: the returned arrays have
     that shape plus one trailing axis of n + 1 nodes.
 
-    Each stage calls spec.rhs.fn once, as f(t, u, u') with t a float and u,
-    u' arrays over the shots (4 n calls a sweep, even if every shot dies); a
-    scalar f broadcasts in the RK4 arithmetic.  The sweep keeps (u, v) of
-    every shot as one (n + 1, 2, shots) array, so each RK4 combination acts
-    on both at once, in the operation order of u and v stepped as two
-    arrays: the results are bit for bit those of that two-array sweep, and
-    u and v are returned as views of the one array.  phi^{-1} is never finite
-    outside (-a, a), so a shot whose flux leaves it gets a non-finite u at
-    its next stage for good.  After the sweep, a shot with a non-finite u or
-    |v| >= a at its last node is dead: a row of NaN, or StepRejected for a
-    single scalar shot, at the first node where that rule fails.
+    This is the serial sweep, n steps one after another (`_shoot_parareal`
+    takes the same steps time-parallel).  Each stage calls spec.rhs.fn once,
+    as f(t, u, u') with t a float and u, u' arrays over the shots (4 n calls
+    a sweep, even if every shot dies); a scalar f broadcasts in the RK4
+    arithmetic.  The sweep keeps (u, v) of every shot as one (n + 1, 2,
+    shots) array stepped by `_rk4`: the results are bit for bit those of u
+    and v stepped as two arrays, and u and v are returned as views of the
+    one array.  phi^{-1} is never finite outside (-a, a), so a shot whose
+    flux leaves it gets a non-finite u at its next stage for good.  After
+    the sweep, a shot with a non-finite u or |v| >= a at its last node is
+    dead: a row of NaN, or StepRejected for a single scalar shot, at the
+    first node where that rule fails.
     """
     grid = spec.grid
     phi = spec.phi
     a = phi.a
-    t_nodes = grid.nodes
-    h = -grid.h if backward else grid.h
-    n = grid.n
+    swept = grid.nodes[::-1] if backward else grid.nodes  # the nodes in sweep order
     u0, slope0 = np.broadcast_arrays(np.asarray(u0, dtype=float),
                                      np.asarray(slope0, dtype=float))
     shape = u0.shape
-    f, inv = spec.rhs.fn, phi.inv_fn
-
-    m = u0.size
-    ys = np.empty((n + 1, 2, m))  # ys[i] = (u, v) of every shot at node i
-    k1, k2, k3, k4, mid = (np.empty((2, m)) for _ in range(5))
-
-    def stage(t, y, k):
-        k[0] = inv(y[1])
-        k[1] = f(t, y[0], k[0])
-
-    # 0-d factors and k + k give the bits of float * array and 2.0 * k, faster
-    h_half, h_full, h_sixth = (np.array(c) for c in (0.5 * h, h, h / 6.0))
-    order = np.arange(n, -1, -1) if backward else np.arange(n + 1)
-    ys[order[0], 0] = u0.ravel()
-    ys[order[0], 1] = phi.forward(slope0.ravel())
+    ys = np.empty((grid.n + 1, 2, u0.size))  # ys[i] = (u, v) of every shot at swept[i]
+    ys[0, 0] = u0.ravel()
+    ys[0, 1] = phi.forward(slope0.ravel())
     with np.errstate(all="ignore"):
-        for i, j in zip(order[:-1], order[1:]):
-            t0 = float(t_nodes[i])
-            yi = ys[i]
-            stage(t0, yi, k1)
-            stage(t0 + 0.5 * h, np.add(yi, h_half * k1, out=mid), k2)
-            stage(t0 + 0.5 * h, np.add(yi, h_half * k2, out=mid), k3)
-            stage(t0 + h, np.add(yi, h_full * k3, out=mid), k4)
-            ys[j] = yi + h_sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
-        us, vs = ys[:, 0], ys[:, 1]
-        ok = np.isfinite(us) & (np.abs(vs) < a)
-    dead = ~ok[order[-1]]
+        _rk4(spec.rhs.fn, phi.inv_fn, ys, swept[:-1].tolist(),
+             -grid.h if backward else grid.h)
+        ok = np.isfinite(ys[:, 0]) & (np.abs(ys[:, 1]) < a)
+    dead = ~ok[-1]
     if not shape and dead[0]:
-        first = int(np.argmin(ok[order[1:], 0]))  # the step the shot died in
-        i, j = order[first], order[first + 1]
+        first = int(np.argmin(ok[1:, 0]))  # the step the shot died in
         raise StepRejected(
             f"the shot left the flux range (-{a:g}, {a:g}) or turned non-finite "
-            f"between t = {float(t_nodes[i]):.6g} and t = {float(t_nodes[j]):.6g}",
-            time=float(t_nodes[j]))
-    us[:, dead] = np.nan
-    vs[:, dead] = np.nan
-    return us.T.reshape(shape + (n + 1,)), vs.T.reshape(shape + (n + 1,))
+            f"between t = {float(swept[first]):.6g} and t = {float(swept[first + 1]):.6g}",
+            time=float(swept[first + 1]))
+    ys[:, :, dead] = np.nan
+    return _by_node(ys, shape, backward)
+
+
+def _shoot_parareal(spec: ProblemSpec, u0, slope0, *,
+                    backward: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """`shoot_ivp`'s sweep, run time-parallel by parareal (Lions, Maday &
+    Turinici, C. R. Acad. Sci. Paris 332, 2001) over S = n / c segments of
+    c steps, c the divisor of n nearest sqrt(n).  Same arguments and
+    returns, but not bit for bit: each segment starts from a corrected value
+    that differs from the serial sweep's by rounding.
+
+    The coarse propagator G is one RK4 step of c h; the fine one, F, is c
+    steps of h, taken on every segment and every shot at once by the same
+    `_rk4`, so f sees t as an (S, 1) array, one time per segment.  G chains
+    the segments' starts; each pass runs F from them and then compares, in
+    u and in u', each segment's end with the next one's start.  Once every
+    such seam closes within SEAM_TOL max(1, |y|), that pass is the sweep.
+    Otherwise the starts are corrected in order, new(s + 1) = G(new(s)) +
+    F(old(s)) - G(old(s)), and F runs again.  Each pass costs c + S
+    sequential steps, and at most (n - 1) // (c + S) passes run, so fewer
+    sequential steps than n.  The sweep is `shoot_ivp`'s own:
+      - when fewer than 4 passes fit (n <= 64 for c and S near sqrt(n),
+        and every n with c < 4 or S < 4, prime n among them);
+      - when any value of a pass is non-finite or has |v| >= a, so dead
+        shots and their NaN rows are exactly `shoot_ivp`'s;
+      - when the seams are still open after the last pass.
+    """
+    n = spec.grid.n
+    root = math.sqrt(n)
+    divisors = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    c = min(divisors + [n // d for d in divisors], key=lambda d: (abs(d - root), d))
+    segments = n // c
+    passes = (n - 1) // (c + segments)
+    if passes < 4:
+        return shoot_ivp(spec, u0, slope0, backward=backward)
+    phi = spec.phi
+    f, inv = spec.rhs.fn, phi.inv_fn
+    h = -spec.grid.h if backward else spec.grid.h
+    swept = spec.grid.nodes[::-1] if backward else spec.grid.nodes
+    starts = swept[:-1:c].tolist()  # the time of each segment's start
+    times = swept[:-1].reshape(segments, c).T[:, :, None]  # times[i, s]: step i of segment s
+    y0, s0 = np.broadcast_arrays(np.asarray(u0, dtype=float),
+                                 np.asarray(slope0, dtype=float))
+    shape, m = y0.shape, y0.size
+    coarse = np.empty((segments + 1, 2, m))  # coarse[s] = (u, v) at the start of segment s
+    coarse[0, 0] = y0.ravel()
+    coarse[0, 1] = phi.forward(s0.ravel())
+    fine = np.empty((c + 1, 2, segments, m))  # fine[i, :, s] = (u, v) after step i of segment s
+    with np.errstate(all="ignore"):
+        _rk4(f, inv, coarse, starts, c * h)
+        g_prev = coarse[1:].copy()  # G of each start of the last pass
+        for iteration in range(passes):
+            if iteration:
+                delta = fine[c].swapaxes(0, 1) - g_prev  # F - G of the old starts
+                for s in range(segments):
+                    _rk4(f, inv, coarse[s:s + 2], starts[s:s + 1], c * h)
+                    g_prev[s] = coarse[s + 1]
+                    coarse[s + 1] += delta[s]
+            fine[0] = coarse[:-1].swapaxes(0, 1)
+            _rk4(f, inv, fine, times, h)
+            if not (np.isfinite(fine).all() and (np.abs(fine[:, 1]) < phi.a).all()):
+                break
+            end, start = (np.stack((y[0], inv(y[1])))  # u and u' on both sides of each seam
+                          for y in (fine[c, :, :-1], fine[0, :, 1:]))
+            if (np.abs(end - start) <= SEAM_TOL * np.maximum(1.0, np.abs(start))).all():
+                ys = np.concatenate([fine[:c].transpose(2, 0, 1, 3).reshape(n, 2, m),
+                                     fine[c, :, -1:].swapaxes(0, 1)])
+                return _by_node(ys, shape, backward)
+    return shoot_ivp(spec, u0, slope0, backward=backward)
 
 
 def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -471,24 +552,20 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         p1t  backward from u(T) = u'(T) = k, match u'(0) = k
         p2   backward from u(T) = u'(T) = k, match u(0) = k
 
-    Every sweep is one batched call of `shoot_ivp`, whose cost hardly depends
-    on the number of shots but grows with n.  So k is located on each grid
-    in turn, the `_coarse` one (if coarser), then the problem's, by
-    `_scan_root` with `_refine_batched` stopped once the bracket is under
-    LOCATE_WIDTH max(1, |k|), at the bracket's interpolated root estimate.
-    On generated problems at n = 400 that takes the scan and one refining
-    sweep, after which the bracket is at most 9.5e-5 max(1, |k|) wide (median
-    2.9e-5 for p1 and p1t, 5.9e-7 for p2).  Then one near sweep on the
-    problem's grid shoots k and 62 points within NEAR_REACH max(1, |k|) of
-    it, spaced geometrically from one ulp.  The solution is its first shot
-    that matches exactly, else its first two adjacent shots whose finite
-    mismatches change sign, u and u' interpolated linearly in k at the zero
-    of the mismatch's chord, else a shot that matches to rounding.  That
-    pair was at most 5.2e-7 max(1, |k|) wide on a set of singular problems;
-    on generated problems at n = 400, about 2e-13 max(1, |k|) for p1 and p1t
-    and 7e-10 for p2 at the median, 3e-9 at most.  The first grid on which
-    neither step raises NoRoot gives the solution; the problem's grid's
-    NoRoot propagates.
+    Every sweep is one batched call, whose cost hardly depends on the number
+    of shots but grows with n.  So k is located on each grid in turn, the
+    `_coarse` one (if coarser), then the problem's, by `_scan_root` with
+    `_refine_batched` stopped once the bracket is under LOCATE_WIDTH
+    max(1, |k|), at the bracket's interpolated root estimate; these sweeps
+    are `shoot_ivp`'s.  Then one near sweep on the problem's grid,
+    `_shoot_parareal`, shoots k and 62 points within NEAR_REACH max(1, |k|)
+    of it, spaced geometrically from one ulp.  The solution is its first
+    shot that matches exactly, else its first two adjacent shots whose
+    finite mismatches change sign, u and u' interpolated linearly in k at
+    the zero of the mismatch's chord, else a shot that matches to rounding.
+    `residuals.c1` is the matching defect of that interpolant.  The first
+    grid on which neither step raises NoRoot gives the solution; the
+    problem's grid's NoRoot propagates.
     `iterations` counts the sweeps on both grids; a NoRoot carries it too.
     """
     phi = spec.phi
@@ -498,10 +575,12 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     sweeps = 0
     swept = ()  # the last sweep's ks and shots
 
-    def mismatch(ks: np.ndarray, on: ProblemSpec = spec) -> np.ndarray:
+    def mismatch(ks: np.ndarray, on: ProblemSpec = spec,
+                 parareal: bool = False) -> np.ndarray:
         nonlocal sweeps, swept
         sweeps += 1
-        us, vs = shoot_ivp(on, ks, ks, backward=backward)
+        sweep = _shoot_parareal if parareal else shoot_ivp
+        us, vs = sweep(on, ks, ks, backward=backward)
         swept = ks, us, vs
         end = us[..., other] if bc is BoundaryCondition.P2 else phi.inv_fn(vs[..., other])
         return end - ks
@@ -523,7 +602,8 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         try:
             k = _scan_root(lambda ks: mismatch(ks, on), scan, locate)
             near = _sweep_around(k, np.finfo(float).eps, NEAR_REACH, max(1.0, abs(k)))
-            k_root = _scan_root(mismatch, near, interpolate)
+            k_root = _scan_root(lambda ks: mismatch(ks, parareal=True), near,
+                                interpolate)
             break
         except NoRoot as exc:
             if on is spec:

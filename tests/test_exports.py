@@ -1,11 +1,13 @@
 """Every exported name resolves: a deleted function cannot leave its export
 behind.  Every private module-level name, and every public method or property
 of a public class, is used: a consolidation cannot leave a helper behind.
-exec runs in one place: a second code generator cannot come back silently."""
+exec runs in one place: a second code generator cannot come back silently.
+The RK4 combination is written once: a second integrator cannot fork it."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -110,3 +112,17 @@ def test_exec_runs_in_as_callable_alone():
     sites = [site for module, tree in SOURCES.items()
              for site in _exec_sites(tree, module)]
     assert sites == ["expressions.as_callable"]
+
+
+# k1 + (k2 + k2) + (k3 + k3) + k4 under any names, and the textbook
+# k1 + 2.0 * k2 + 2.0 * k3 + k4
+_RK4 = [re.compile(r"\w+ \+ \((\w+) \+ \1\) \+ \((\w+) \+ \2\) \+ \w+"),
+        re.compile(r"\w+ \+ 2(\.0)? \* \w+ \+ 2(\.0)? \* \w+ \+ \w+")]
+
+
+def test_one_rk4_combination_in_src():
+    # the serial sweep and both parareal propagators step through one kernel
+    found = [(module, ast.unparse(node)) for module, tree in SOURCES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+             if any(rule.fullmatch(ast.unparse(node)) for rule in _RK4)]
+    assert found == [("solver", "k1 + (k2 + k2) + (k3 + k3) + k4")]

@@ -16,7 +16,7 @@ from tribvp import (BoundaryCondition, Grid, HypothesisFailed, NoConvergence,
 
 from tribvp.operators import _bracket_root
 from tribvp.problem_file import load_problem, loads
-from tribvp.solver import SWEEP_SHOTS, _refine_batched
+from tribvp.solver import SWEEP_SHOTS, _refine_batched, _shoot_parareal
 
 from test_acceptance import _admissible_template
 from test_operators import RefinerCases, convex_expm1, steep_tanh
@@ -39,6 +39,25 @@ def template(n):
     spec, _, _, _ = _admissible_template(np.random.default_rng(7), BoundaryCondition.P1)
     return ProblemSpec(Grid(spec.grid.T, n), spec.phi, spec.rhs, spec.bc)
 
+
+def singular(params, bc, n=100):
+    """f = A (e^{B v} - e^{B y0}) - C / (D + u) from params = (A, B, y0, C,
+    D, T), the stress recipe's singular family."""
+    A, B, y0, C, D, T = params
+    f = f"{A!r}*(exp({B!r}*v) - exp({B!r}*{y0!r})) - {C!r}/({D!r} + u)"
+    return loads(f"[problem]\nT = {T!r}\nn = {n}\nf = {f}\nbc = {bc}\n").spec
+
+
+# (params of `singular`, bc, the root recorded from the full scan) of two
+# problems on which the near sweep around the coarse root brackets nothing
+NO_BRACKET_PINS = [
+    ((0.3899991419384397, 0.8994222899520921, 0.060899014574014476,
+      0.05860670251158337, 0.973963042288728, 0.9497477160722585),
+     "p1", -1.0052834147164458),
+    ((0.34929440330793776, 0.6038191595194384, 0.268997071975065,
+      0.23656507783891484, 1.0844965618648954, 0.6579730152622838),
+     "p1t", -2.7745553109147556),
+]
 
 FLUXES = {"curvature": curvature(), "atan": scaled_atan(1.0)}
 GENERATED = [pytest.param(bc, flux, id=f"{bc.value}-{flux}")
@@ -467,13 +486,25 @@ class TestShooting:
 
     @staticmethod
     def record_sweeps(monkeypatch):
-        """(intervals, shots) of each sweep that solve_shooting takes."""
-        sweeps = []
+        """(intervals, shots) of each sweep that solve_shooting takes.  The
+        parareal near sweep is one sweep, also when it falls back to
+        shoot_ivp's serial sweep."""
+        sweeps, parareal = [], []
 
         def counted(spec, u0, *args, **kwargs):
-            sweeps.append((spec.grid.n, np.size(u0)))
+            if not parareal:
+                sweeps.append((spec.grid.n, np.size(u0)))
             return shoot_ivp(spec, u0, *args, **kwargs)
+
+        def counted_parareal(spec, u0, *args, **kwargs):
+            sweeps.append((spec.grid.n, np.size(u0)))
+            parareal.append(spec)
+            try:
+                return _shoot_parareal(spec, u0, *args, **kwargs)
+            finally:
+                parareal.pop()
         monkeypatch.setattr(tribvp.solver, "shoot_ivp", counted)
+        monkeypatch.setattr(tribvp.solver, "_shoot_parareal", counted_parareal)
         return sweeps
 
     @staticmethod
@@ -544,22 +575,12 @@ class TestShooting:
         assert gap <= 1e-13
         assert rep.residuals.c1 <= SolveOptions().tol
 
-    # f = A (e^{B v} - e^{B y0}) - C / (D + u) on n = 100: the fine root lies
-    # beyond the near sweep's reach of the coarse one, so the near sweep has
-    # no sign change (A, B, y0, C, D, T; the root recorded from the full scan)
-    @pytest.mark.parametrize("params,bc,expected", [
-        ((0.3899991419384397, 0.8994222899520921, 0.060899014574014476,
-          0.05860670251158337, 0.973963042288728, 0.9497477160722585),
-         "p1", -1.0052834147164458),
-        ((0.34929440330793776, 0.6038191595194384, 0.268997071975065,
-          0.23656507783891484, 1.0844965618648954, 0.6579730152622838),
-         "p1t", -2.7745553109147556),
-    ], ids=["p1", "p1t"])
+    # the fine root lies beyond the near sweep's reach of the coarse one, so
+    # the near sweep has no sign change (the root recorded from the full scan)
+    @pytest.mark.parametrize("params,bc,expected", NO_BRACKET_PINS, ids=["p1", "p1t"])
     def test_near_sweep_without_a_bracket_falls_back_to_the_full_scan(
             self, params, bc, expected, monkeypatch):
-        A, B, y0, C, D, T = params
-        f = f"{A!r}*(exp({B!r}*v) - exp({B!r}*{y0!r})) - {C!r}/({D!r} + u)"
-        spec = loads(f"[problem]\nT = {T!r}\nn = 100\nf = {f}\nbc = {bc}\n").spec
+        spec = singular(params, bc)
         sweeps = self.record_sweeps(monkeypatch)
         rep = solve_shooting(spec)
         fine = [shots for n, shots in sweeps if n == spec.grid.n]
@@ -696,6 +717,133 @@ class TestShooting:
             for row in (1, 2):
                 u1, v1 = shoot_ivp(spec, 0.0, phi.inverse(v0[row]))
                 assert np.array_equal(us[row], u1) and np.array_equal(vs[row], v1)
+
+
+class TestParareal:
+    """The near sweep's parareal against shoot_ivp, the serial reference."""
+
+    @staticmethod
+    def near_sweeps(spec, monkeypatch):
+        """(shots, backward) of each parareal sweep of solve_shooting(spec)."""
+        sweeps = []
+
+        def recorded(on, u0, slope0, *, backward=False):
+            sweeps.append((np.array(u0), backward))
+            return _shoot_parareal(on, u0, slope0, backward=backward)
+        with monkeypatch.context() as patch:
+            patch.setattr(tribvp.solver, "_shoot_parareal", recorded)
+            solve_shooting(spec)
+        return sweeps
+
+    @staticmethod
+    def counting(spec):
+        """spec with its f recording the ndim of t in each call, and that record."""
+        f, dims = spec.rhs.fn, []
+
+        def counted(t, u, v):
+            dims.append(np.ndim(t))
+            return f(t, u, v)
+        return replace(spec, rhs=RightHandSide(fn=counted)), dims
+
+    def parareal(self, spec, ks, backward, monkeypatch):
+        """_shoot_parareal(spec, ks, ks), which must not fall back to
+        shoot_ivp, and the ndim of t in each call of f."""
+        counted, dims = self.counting(spec)
+
+        def serial(*args, **kwargs):
+            raise AssertionError("the parareal sweep fell back to shoot_ivp")
+        with monkeypatch.context() as patch:
+            patch.setattr(tribvp.solver, "shoot_ivp", serial)
+            got = _shoot_parareal(counted, ks, ks, backward=backward)
+        return got, dims
+
+    @staticmethod
+    def c1_gap(spec, got, want):
+        return max(np.abs(got[0] - want[0]).max(),
+                   np.abs(spec.phi.inverse(got[1]) - spec.phi.inverse(want[1])).max())
+
+    @pytest.mark.parametrize("bc,flux", GENERATED)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_near_sweep_within_1e13_of_the_serial_sweep(self, bc, flux, seed, monkeypatch):
+        spec = generated(bc, flux, seed)
+        (ks, backward), = self.near_sweeps(spec, monkeypatch)
+        got, dims = self.parareal(spec, ks, backward, monkeypatch)
+        assert got[0].shape == got[1].shape == (SWEEP_SHOTS - 1, spec.grid.n + 1)
+        # F passes of c = 20 steps: 4 c calls of f each, with t of shape (20, 1)
+        assert dims.count(2) % 80 == 0 and dims.count(2) >= 80
+        assert self.c1_gap(spec, got, shoot_ivp(spec, ks, ks, backward=backward)) <= 1e-13
+
+    @pytest.mark.parametrize("params,bc", [pin[:2] for pin in NO_BRACKET_PINS],
+                             ids=["p1", "p1t"])
+    def test_seams_closing_after_several_corrections(self, params, bc, monkeypatch):
+        # both near sweeps of these singular problems, n = 100 (c = 10),
+        # close their seams only on the fourth pass, the last one allowed
+        spec = singular(params, bc)
+        sweeps = self.near_sweeps(spec, monkeypatch)
+        assert len(sweeps) == 2
+        for ks, backward in sweeps:
+            got, dims = self.parareal(spec, ks, backward, monkeypatch)
+            assert dims.count(2) == 4 * 40
+            assert self.c1_gap(spec, got, shoot_ivp(spec, ks, ks, backward=backward)) <= 1e-13
+
+    def test_seams_are_closed_in_u_prime_not_in_v(self, monkeypatch):
+        # near the root k = -2.04168 of the cubic, |v| reaches 0.9 of a, where
+        # u' = phi^{-1}(v) magnifies an error in v about 12 times.  At a seam
+        # tolerance of 1e-13 the v seams close one pass before the u' seams,
+        # and a sweep accepted on them is 2e-12 from the serial one in u'.
+        spec = loads("[problem]\nT = 0.1\nn = 200\n"
+                     "f = v*v*v - 4*v + 0.5*cos(6.283*t/0.1)\nbc = p1t\n").spec
+        k = -2.041681934433797
+        ks = tribvp.solver._sweep_around(k, np.finfo(float).eps, tribvp.solver.NEAR_REACH, -k)
+        monkeypatch.setattr(tribvp.solver, "SEAM_TOL", 1e-13)
+        got, dims = self.parareal(spec, ks, True, monkeypatch)
+        assert dims.count(2) == 4 * 4 * 10  # four passes of c = 10 steps
+        assert self.c1_gap(spec, got, shoot_ivp(spec, ks, ks, backward=True)) <= 1e-13
+
+    @pytest.mark.parametrize("bc,flux", GENERATED)
+    def test_dying_shots_give_the_serial_sweep_bit_for_bit(self, bc, flux):
+        spec = generated(bc, flux, seed=1, n=100)
+        ks = np.linspace(-3.0, 3.0, SWEEP_SHOTS)
+        slopes = np.sinh(3.0 * ks)  # out to phi(u') = 0.99992 a: many shots die
+        dying = 0  # the directions in which some, not all, shots die
+        for backward in (False, True):
+            want = shoot_ivp(spec, ks, slopes, backward=backward)
+            dead = np.isnan(want[0]).all(axis=1)
+            if dead.any() and not dead.all():
+                dying += 1
+                for g, w in zip(_shoot_parareal(spec, ks, slopes, backward=backward), want):
+                    assert np.array_equal(g, w, equal_nan=True)
+        assert dying
+
+    def test_near_sweep_across_the_edge_where_shots_die(self):
+        # the cubic's root k = 1.95805 lies 4e-5 below the k where shots
+        # start to die; a near sweep around that k loses about half its shots
+        spec = loads("[problem]\nT = 0.1\nn = 200\n"
+                     "f = v*v*v - 4*v + 0.5*cos(6.283*t/0.1)\nbc = p1\n").spec
+        edge = 1.958093971923626
+        ks = tribvp.solver._sweep_around(edge, np.finfo(float).eps,
+                                         tribvp.solver.NEAR_REACH, edge)
+        got = _shoot_parareal(spec, ks, ks)
+        want = shoot_ivp(spec, ks, ks)
+        dead = np.isnan(want[0]).all(axis=1)
+        assert dead.any() and not dead.all()
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+
+    # n = 12 (c = 3), 64 (c = 8, S = 8: 4 passes take 64 sequential steps)
+    # and the prime 101 (c = 1) are serial; n = 100 (c = 10) is not
+    @pytest.mark.parametrize("n,serial", [(12, True), (64, True), (101, True), (100, False)])
+    def test_small_and_prime_n_take_the_serial_sweep(self, n, serial):
+        spec = generated(BoundaryCondition.P1, "curvature", seed=1, n=n)
+        counted, dims = self.counting(spec)
+        ks = np.linspace(-0.5, 0.5, SWEEP_SHOTS - 1)
+        for backward in (False, True):
+            dims.clear()
+            got = _shoot_parareal(counted, ks, ks, backward=backward)
+            assert (dims == [0] * (4 * n)) is serial
+            if serial:
+                for g, w in zip(got, shoot_ivp(spec, ks, ks, backward=backward)):
+                    assert np.array_equal(g, w)
 
 
 class TestRefineBatched(RefinerCases):
