@@ -13,20 +13,22 @@ first-order system u' = phi^{-1}(v), v' = f(t, u, phi^{-1}(v)) and shoots with
 a fixed-step classical Runge-Kutta integrator.  Each boundary condition ties
 three boundary quantities to one shared value k, so every case is a scalar
 equation in k.  Every evaluation of it is a batched sweep of shots.  As for
-the lambda = 0 seed, a scan of k finds a sign change on the `_coarse` grid,
-eight times coarser, and the root is finished on the problem's own grid.
-The seed's is finished by `_bracket_root`.  The shooting root is located,
+the lambda = 0 seed, a scan of k finds a sign change on a coarse grid, and
+the root is finished on the problem's own grid.  The seed scans on the
+`_coarse` grid, eight times coarser, and `_bracket_root` finishes its root.
+The shooting root is located on `_locate_grid`'s, about sqrt(n) intervals,
 by sweeps placed geometrically around an interpolated root estimate, until
-its bracket is under LOCATE_WIDTH max(1, |k|), on the coarse grid or else on
-the problem's; then one sweep on the problem's grid, close around that
-estimate, brackets it again, and the solution interpolates the two shots of
-that bracket.  That near sweep runs time-parallel, by parareal over about
-sqrt(n) segments (`_shoot_parareal`); every other sweep is `shoot_ivp`'s
-serial one, and both step through one RK4 kernel, `_rk4`.  A shot whose
-flux leaves (-a, a) gets a NaN u at its next stage and keeps it, so a
-serial sweep runs to its end, even when every shot dies, and decides there
-which died; a parareal sweep in which any flux leaves gives way to it.
-Agreement between the two routes is the package's main self-check.
+its bracket is under LOCATE_WIDTH max(1, |k|), on that grid, or else on the
+`_coarse` one, or else on the problem's; then one sweep on the problem's
+grid, close around that estimate, brackets it again, and the solution
+interpolates the two shots of that bracket.  That near sweep runs
+time-parallel, by parareal over about sqrt(n) segments (`_shoot_parareal`);
+every other sweep is `shoot_ivp`'s serial one, and both step through one
+RK4 kernel, `_rk4`.  A shot whose flux leaves (-a, a) gets a NaN u at its
+next stage and keeps it, so a serial sweep runs to its end, even when every
+shot dies, and decides there which died; a parareal sweep in which any flux
+leaves gives way to it.  Agreement between the two routes is the package's
+main self-check.
 
 Every scalar equation, the lambda = 0 seed, the p2 balancing constant in
 `operators` and the shooting mismatch, is solved under one contract.  fn maps
@@ -65,8 +67,8 @@ __all__ = [
 
 SEED_RADIUS = 2.0    # the seed scans k in [-2, 2], shooting in [-3, 3]
 SWEEP_SHOTS = 64     # shots per shooting sweep, the scan's and each refining one
-COARSENING = 8       # the seed and shooting scan first on n // 8 intervals ...
-MIN_COARSE_N = 16    # ... but on no fewer than 16
+COARSENING = 8       # the seed scans first on n // 8 intervals ...
+MIN_COARSE_N = 16    # ... but on no fewer than 16, nor does shooting locate on fewer
 NEAR_REACH = 1e-6    # the near sweep around a located root reaches 1e-6 max(1, |k|)
 LOCATE_WIDTH = 1e-4  # a root is located once its bracket is under 1e-4 max(1, |k|)
 SEAM_TOL = 1e-14     # a parareal seam closes within 1e-14 max(1, |y|), in u and u'
@@ -476,24 +478,52 @@ def shoot_ivp(spec: ProblemSpec, u0, slope0, *,
     return _by_node(ys, shape, backward)
 
 
+def _split(n: int) -> tuple[int, int, int] | None:
+    """Parareal's split of n steps: c, the divisor of n nearest sqrt(n); the
+    S = n / c segments of c steps; and the cap on passes, (n - 1) // (c + S),
+    which keeps their sequential steps under n.  None when fewer than 4
+    passes fit, where parareal buys nothing."""
+    root = math.sqrt(n)
+    divisors = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    c = min(divisors + [n // d for d in divisors], key=lambda d: (abs(d - root), d))
+    passes = (n - 1) // (c + n // c)
+    return (c, n // c, passes) if passes >= 4 else None
+
+
+def _locate_grid(spec: ProblemSpec) -> ProblemSpec | None:
+    """spec on the grid where `solve_shooting` locates k first: the S
+    intervals of the near sweep's coarse propagator when that sweep runs by
+    parareal and S >= MIN_COARSE_N, else `_coarse(spec)`."""
+    split = _split(spec.grid.n)
+    if split and split[1] >= MIN_COARSE_N:
+        return replace(spec, grid=Grid(spec.grid.T, split[1]))
+    return _coarse(spec)
+
+
 def _shoot_parareal(spec: ProblemSpec, u0, slope0, *,
                     backward: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """`shoot_ivp`'s sweep, run time-parallel by parareal (Lions, Maday &
-    Turinici, C. R. Acad. Sci. Paris 332, 2001) over S = n / c segments of
-    c steps, c the divisor of n nearest sqrt(n).  Same arguments and
-    returns, but not bit for bit: each segment starts from a corrected value
-    that differs from the serial sweep's by rounding.
+    Turinici, C. R. Acad. Sci. Paris 332, 2001) over `_split(n)`'s S = n / c
+    segments of c steps, c the divisor of n nearest sqrt(n).  Same arguments
+    and returns, but not bit for bit: each segment starts from a corrected
+    value that differs from the serial sweep's by rounding.
 
     The coarse propagator G is one RK4 step of c h; the fine one, F, is c
-    steps of h, taken on every segment and every shot at once by the same
-    `_rk4`, so f sees t as an (S, 1) array, one time per segment.  G chains
-    the segments' starts; each pass runs F from them and then compares, in
-    u and in u', each segment's end with the next one's start.  Once every
-    such seam closes within SEAM_TOL max(1, |y|), that pass is the sweep.
-    Otherwise the starts are corrected in order, new(s + 1) = G(new(s)) +
-    F(old(s)) - G(old(s)), and F runs again.  Each pass costs c + S
-    sequential steps, and at most (n - 1) // (c + S) passes run, so fewer
-    sequential steps than n.  The sweep is `shoot_ivp`'s own:
+    steps of h, taken on every segment at once by the same `_rk4`, so f sees
+    t as an (S, 1) array, one time per segment.  G chains the segments'
+    starts, and each pass runs F from them.  The starts are then corrected
+    in order, new(s + 1) = G(new(s)) + F(old(s)) - G(old(s)), and F runs
+    again.  The first pass runs F on three probe shots only, the first,
+    middle and last; every other shot takes its first F - G from the
+    quadratic, in its u0, through the probes' (the near sweep passes u0 =
+    slope0 = k, and its shots lie within NEAR_REACH of each other).  Each
+    later pass runs F on every shot and compares, in u and in u', each
+    segment's end with the next one's start; the first whose seams all close
+    within SEAM_TOL max(1, |y|) is the sweep.  So the probe pass is never
+    the sweep, and an inexact quadratic can cost a pass but never lets an
+    inexact sweep through.  Each pass costs c + S sequential steps, and at
+    most (n - 1) // (c + S) passes run, so fewer sequential steps than n.
+    The sweep is `shoot_ivp`'s own:
       - when fewer than 4 passes fit (n <= 64 for c and S near sqrt(n),
         and every n with c < 4 or S < 4, prime n among them);
       - when any value of a pass is non-finite or has |v| >= a, so dead
@@ -501,13 +531,10 @@ def _shoot_parareal(spec: ProblemSpec, u0, slope0, *,
       - when the seams are still open after the last pass.
     """
     n = spec.grid.n
-    root = math.sqrt(n)
-    divisors = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    c = min(divisors + [n // d for d in divisors], key=lambda d: (abs(d - root), d))
-    segments = n // c
-    passes = (n - 1) // (c + segments)
-    if passes < 4:
+    split = _split(n)
+    if split is None:
         return shoot_ivp(spec, u0, slope0, backward=backward)
+    c, segments, passes = split
     phi = spec.phi
     f, inv = spec.rhs.fn, phi.inv_fn
     h = -spec.grid.h if backward else spec.grid.h
@@ -517,24 +544,35 @@ def _shoot_parareal(spec: ProblemSpec, u0, slope0, *,
     y0, s0 = np.broadcast_arrays(np.asarray(u0, dtype=float),
                                  np.asarray(slope0, dtype=float))
     shape, m = y0.shape, y0.size
+    k = y0.ravel()
     coarse = np.empty((segments + 1, 2, m))  # coarse[s] = (u, v) at the start of segment s
-    coarse[0, 0] = y0.ravel()
+    coarse[0, 0] = k
     coarse[0, 1] = phi.forward(s0.ravel())
-    fine = np.empty((c + 1, 2, segments, m))  # fine[i, :, s] = (u, v) after step i of segment s
+    shots = np.array([0, m // 2, m - 1]) if m > 3 else np.arange(m)  # F's shots, first pass
     with np.errstate(all="ignore"):
         _rk4(f, inv, coarse, starts, c * h)
         g_prev = coarse[1:].copy()  # G of each start of the last pass
         for iteration in range(passes):
             if iteration:
-                delta = fine[c].swapaxes(0, 1) - g_prev  # F - G of the old starts
+                delta = fine[c].swapaxes(0, 1) - g_prev[..., shots]  # F - G of the old starts
+                if shots.size < m:  # every shot's F - G from the probes' quadratic in u0
+                    kp = k[shots]
+                    d = k - kp[:, None]  # d[p]: each shot's u0 less probe p's
+                    lagrange = [d[q] * d[r] / ((kp[p] - kp[q]) * (kp[p] - kp[r]))
+                                for p, q, r in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+                    delta = delta @ np.stack(lagrange)
+                    shots = np.arange(m)
                 for s in range(segments):
                     _rk4(f, inv, coarse[s:s + 2], starts[s:s + 1], c * h)
                     g_prev[s] = coarse[s + 1]
                     coarse[s + 1] += delta[s]
-            fine[0] = coarse[:-1].swapaxes(0, 1)
+            fine = np.empty((c + 1, 2, segments, shots.size))  # fine[i, :, s]: after step i of s
+            fine[0] = coarse[:-1, :, shots].swapaxes(0, 1)
             _rk4(f, inv, fine, times, h)
             if not (np.isfinite(fine).all() and (np.abs(fine[:, 1]) < phi.a).all()):
                 break
+            if shots.size < m:  # the probe pass is never the sweep
+                continue
             end, start = (np.stack((y[0], inv(y[1])))  # u and u' on both sides of each seam
                           for y in (fine[c, :, :-1], fine[0, :, 1:]))
             if (np.abs(end - start) <= SEAM_TOL * np.maximum(1.0, np.abs(start))).all():
@@ -554,7 +592,8 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
 
     Every sweep is one batched call, whose cost hardly depends on the number
     of shots but grows with n.  So k is located on each grid in turn, the
-    `_coarse` one (if coarser), then the problem's, by `_scan_root` with
+    `_locate_grid` one and the `_coarse` one (each if coarser, and once if
+    they are the same), then the problem's, by `_scan_root` with
     `_refine_batched` stopped once the bracket is under LOCATE_WIDTH
     max(1, |k|), at the bracket's interpolated root estimate; these sweeps
     are `shoot_ivp`'s.  Then one near sweep on the problem's grid,
@@ -566,7 +605,7 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     `residuals.c1` is the matching defect of that interpolant.  The first
     grid on which neither step raises NoRoot gives the solution; the
     problem's grid's NoRoot propagates.
-    `iterations` counts the sweeps on both grids; a NoRoot carries it too.
+    `iterations` counts the sweeps on every grid; a NoRoot carries it too.
     """
     phi = spec.phi
     bc = spec.bc
@@ -598,7 +637,8 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         return _refine_batched(fn, ks, vals, i, width=LOCATE_WIDTH)
 
     scan = np.linspace(-SEED_RADIUS - 1.0, SEED_RADIUS + 1.0, SWEEP_SHOTS)
-    for on in filter(None, (_coarse(spec), spec)):
+    grids = {on.grid.n: on for on in (_locate_grid(spec), _coarse(spec), spec) if on}
+    for on in grids.values():  # each grid once
         try:
             k = _scan_root(lambda ks: mismatch(ks, on), scan, locate)
             near = _sweep_around(k, np.finfo(float).eps, NEAR_REACH, max(1.0, abs(k)))

@@ -510,7 +510,7 @@ class TestShooting:
     @staticmethod
     def assert_coarse_then_one_fine(spec, sweeps, coarse_sweeps):
         grids = [n for n, _ in sweeps]
-        coarse = tribvp.solver._coarse(spec).grid.n
+        coarse = tribvp.solver._locate_grid(spec).grid.n
         assert grids == [coarse] * coarse_sweeps + [spec.grid.n]
 
     # the scan, then refining sweeps until the bracket is under LOCATE_WIDTH
@@ -543,13 +543,43 @@ class TestShooting:
         # n = 12: the root is located on the problem's grid alone, and the
         # solution still interpolates the near sweep's bracket
         spec = steep(n=12)
-        assert tribvp.solver._coarse(spec) is None
+        assert tribvp.solver._locate_grid(spec) is None
         sweeps = self.record_sweeps(monkeypatch)
         rep = solve_shooting(spec)
         assert [n for n, _ in sweeps] == [spec.grid.n] * len(sweeps)
         assert sweeps[0][1] == SWEEP_SHOTS and sweeps[-1][1] == SWEEP_SHOTS - 1
         assert rep.iterations == len(sweeps)
         assert rep.residuals.c1 <= SolveOptions().tol
+
+    # k is located on the near sweep's coarse grid of S = n / c intervals
+    # (c the divisor of n nearest sqrt(n)) when that sweep runs by parareal
+    # and S >= 16; else on `_coarse`'s grid (n = 100: S = 10; the prime 101
+    # runs no parareal), or on the problem's grid alone (n = 12)
+    @pytest.mark.parametrize("n,intervals", [(400, 20), (800, 32), (3200, 64), (100, 16),
+                                             (101, 16), (12, None)])
+    def test_locate_grid_rule(self, n, intervals):
+        spec = steep(n=n)
+        on = tribvp.solver._locate_grid(spec)
+        coarse = tribvp.solver._coarse(spec)
+        if n in (100, 101, 12):
+            assert on == coarse
+        assert (on and on.grid.n) == intervals
+        assert on is None or replace(on, grid=spec.grid) == spec
+
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("n", [400, 1600, 6400])
+    def test_a_solve_takes_at_most_7_sqrt_n_sequential_steps(self, n, bc):
+        # every call of f is one RK4 stage of a sweep, serial or parareal,
+        # and each sweep's calls come one after another: 4 per sequential step
+        spec = generated(bc, "curvature", seed=1, n=n)
+        calls = []
+
+        def counted(t, u, v):
+            calls.append(None)
+            return spec.rhs.fn(t, u, v)
+        solve_shooting(replace(spec, rhs=RightHandSide(fn=counted)))
+        assert len(calls) % 4 == 0
+        assert len(calls) // 4 <= 7 * np.sqrt(n)
 
     @pytest.mark.parametrize("bc,flux", GENERATED)
     def test_interpolant_matches_the_shot_at_the_adjacent_float_root(self, bc, flux):
@@ -564,7 +594,7 @@ class TestShooting:
             end = us[..., other] if bc is BoundaryCondition.P2 else on.phi.inv_fn(vs[..., other])
             return end - ks
         solver = tribvp.solver
-        coarse = solver._coarse(spec)
+        coarse = solver._locate_grid(spec)
         k = solver._scan_root(lambda ks: mismatch(ks, coarse),
                               np.linspace(-3.0, 3.0, SWEEP_SHOTS), _refine_batched)
         near = solver._sweep_around(k, np.finfo(float).eps, solver.NEAR_REACH, max(1.0, abs(k)))
@@ -589,6 +619,22 @@ class TestShooting:
         assert fine[:2] == [SWEEP_SHOTS - 1, SWEEP_SHOTS] and fine[-1] == SWEEP_SHOTS - 1
         assert len(fine) > 3
         assert abs(rep.solution.values[spec.bc.end] - expected) <= 1e-13
+
+    def test_coarse_grid_takes_over_where_the_located_grid_misses(self, monkeypatch):
+        # n = 400: the root located on the near sweep's coarse grid of 20
+        # intervals lies beyond the near sweep's reach of the fine root, so k
+        # is located again on `_coarse`'s 50 intervals, not on the problem's
+        params, bc, _ = NO_BRACKET_PINS[1]
+        spec = singular(params, bc, n=400)
+        sweeps = self.record_sweeps(monkeypatch)
+        rep = solve_shooting(spec)
+        assert [n for n, _ in sweeps] == [20] * 3 + [400] + [50] * 3 + [400]
+        assert rep.iterations == len(sweeps)
+        # the root of a search on the problem's grid alone
+        monkeypatch.setattr(tribvp.solver, "_locate_grid", lambda spec: None)
+        monkeypatch.setattr(tribvp.solver, "_coarse", lambda spec: None)
+        alone = solve_shooting(spec).solution.values[spec.bc.end]
+        assert abs(rep.solution.values[spec.bc.end] - alone) <= 1e-12
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.P1, BoundaryCondition.P1T],
                              ids=["p1", "p1t"])
@@ -673,9 +719,13 @@ class TestShooting:
         with pytest.raises(NoRoot) as info:
             solve_shooting(spec)
         assert str(info.value) == "every seed of the scan failed to evaluate"
-        assert info.value.iterations == 2  # the scan on each grid
-        # a sweep runs to its end even when every shot has died
-        assert sweeps == [[n, 4 * n] for n in (spec.grid.n // 8, spec.grid.n)]
+        assert info.value.iterations == 3  # the scan on each grid
+        # the located grid, `_coarse`'s, then the problem's; a sweep runs to
+        # its end even when every shot has died
+        grids = [on.grid.n for on in (tribvp.solver._locate_grid(spec),
+                                      tribvp.solver._coarse(spec), spec)]
+        assert grids == [20, 50, 400]
+        assert sweeps == [[n, 4 * n] for n in grids]
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_shot_dying_in_the_last_step(self, backward):
@@ -736,19 +786,20 @@ class TestParareal:
         return sweeps
 
     @staticmethod
-    def counting(spec):
-        """spec with its f recording the ndim of t in each call, and that record."""
+    def counting(spec, of=lambda t, u: np.ndim(t)):
+        """spec with its f recording of(t, u) in each call (the ndim of t by
+        default), and that record."""
         f, dims = spec.rhs.fn, []
 
         def counted(t, u, v):
-            dims.append(np.ndim(t))
+            dims.append(of(t, u))
             return f(t, u, v)
         return replace(spec, rhs=RightHandSide(fn=counted)), dims
 
-    def parareal(self, spec, ks, backward, monkeypatch):
+    def parareal(self, spec, ks, backward, monkeypatch, of=lambda t, u: np.ndim(t)):
         """_shoot_parareal(spec, ks, ks), which must not fall back to
-        shoot_ivp, and the ndim of t in each call of f."""
-        counted, dims = self.counting(spec)
+        shoot_ivp, and the record of(t, u) of each call of f."""
+        counted, dims = self.counting(spec, of)
 
         def serial(*args, **kwargs):
             raise AssertionError("the parareal sweep fell back to shoot_ivp")
@@ -772,6 +823,36 @@ class TestParareal:
         # F passes of c = 20 steps: 4 c calls of f each, with t of shape (20, 1)
         assert dims.count(2) % 80 == 0 and dims.count(2) >= 80
         assert self.c1_gap(spec, got, shoot_ivp(spec, ks, ks, backward=backward)) <= 1e-13
+
+    @staticmethod
+    def f_shots(t, u):
+        """The shape of u in an F call (t an (S, 1) array), else None."""
+        return np.shape(u) if np.ndim(t) == 2 else None
+
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    def test_first_pass_runs_f_on_three_probe_shots(self, bc, monkeypatch):
+        # n = 400: c = 20 steps on S = 20 segments; the first F pass shoots
+        # the sweep's first, middle and last shot, every later one all 63
+        spec = generated(bc, "curvature", seed=1)
+        (ks, backward), = self.near_sweeps(spec, monkeypatch)
+        _, shapes = self.parareal(spec, ks, backward, monkeypatch, self.f_shots)
+        shapes = [shape for shape in shapes if shape]
+        assert shapes[:80] == [(20, 3)] * 80
+        assert shapes[80:] == [(20, SWEEP_SHOTS - 1)] * (len(shapes) - 80)
+        assert len(shapes) >= 160
+
+    def test_the_probe_pass_is_never_the_sweep(self, monkeypatch):
+        # f == 0: v is constant and u linear, so G is exact to rounding and
+        # every seam closes on the first pass, which shot the probes alone;
+        # the sweep is the second pass, over every shot
+        spec = ProblemSpec(Grid(1.0, 100), curvature(),
+                           RightHandSide(fn=lambda t, u, v: 0.0 * t), BoundaryCondition.P1)
+        ks = tribvp.solver._sweep_around(0.3, np.finfo(float).eps, tribvp.solver.NEAR_REACH)
+        got, shapes = self.parareal(spec, ks, False, monkeypatch, self.f_shots)
+        shapes = [shape for shape in shapes if shape]
+        assert shapes == [(10, 3)] * 40 + [(10, SWEEP_SHOTS - 1)] * 40
+        assert got[0].shape == (SWEEP_SHOTS - 1, 101)
+        assert self.c1_gap(spec, got, shoot_ivp(spec, ks, ks)) <= 1e-13
 
     @pytest.mark.parametrize("params,bc", [pin[:2] for pin in NO_BRACKET_PINS],
                              ids=["p1", "p1t"])
@@ -840,10 +921,15 @@ class TestParareal:
         for backward in (False, True):
             dims.clear()
             got = _shoot_parareal(counted, ks, ks, backward=backward)
+            want = shoot_ivp(spec, ks, ks, backward=backward)
             assert (dims == [0] * (4 * n)) is serial
-            if serial:
-                for g, w in zip(got, shoot_ivp(spec, ks, ks, backward=backward)):
+            # shots too far apart for the probes' quadratic in k still give
+            # the serial sweep: within 1e-13, or bit for bit after a fallback
+            if serial or dims[-1] == 0:
+                for g, w in zip(got, want):
                     assert np.array_equal(g, w)
+            else:
+                assert self.c1_gap(spec, got, want) <= 1e-13
 
 
 class TestRefineBatched(RefinerCases):
