@@ -20,9 +20,10 @@ The shooting root is located on `_locate_grid`'s, about sqrt(n) intervals,
 by sweeps placed geometrically around an interpolated root estimate, until
 its bracket is under LOCATE_WIDTH max(1, |k|), on that grid, or else on the
 `_coarse` one, or else on the problem's; then one sweep on the problem's
-grid, close around that estimate, brackets it again, and the solution
-interpolates the two shots of that bracket.  That near sweep runs
-time-parallel, by parareal over about sqrt(n) segments (`_shoot_parareal`);
+grid, of NEAR_SHOTS shots evenly spaced around that estimate, brackets it
+again, and the solution interpolates the two shots of that bracket.  That
+near sweep runs time-parallel, by parareal over about sqrt(n) segments
+(`_shoot_parareal`);
 every other sweep is `shoot_ivp`'s serial one, and both step through one
 RK4 kernel, `_rk4`.  A shot whose flux leaves (-a, a) gets a NaN u at its
 next stage and keeps it, so a serial sweep runs to its end, even when every
@@ -66,10 +67,11 @@ __all__ = [
 ]
 
 SEED_RADIUS = 2.0    # the seed scans k in [-2, 2], shooting in [-3, 3]
-SWEEP_SHOTS = 64     # shots per shooting sweep, the scan's and each refining one
+SWEEP_SHOTS = 64     # shots of the shooting scan, at most as many per refining sweep
 COARSENING = 8       # the seed scans first on n // 8 intervals ...
 MIN_COARSE_N = 16    # ... but on no fewer than 16, nor does shooting locate on fewer
-NEAR_REACH = 1e-6    # the near sweep around a located root reaches 1e-6 max(1, |k|)
+NEAR_REACH = 1e-6    # the near sweep around a located root reaches 1e-6 max(1, |k|) ...
+NEAR_SHOTS = 31      # ... in 31 evenly spaced shots, the root estimate the middle one
 LOCATE_WIDTH = 1e-4  # a root is located once its bracket is under 1e-4 max(1, |k|)
 SEAM_TOL = 1e-14     # a parareal seam closes within 1e-14 max(1, |y|), in u and u'
 BACKENDS = ("fixed-point", "shooting", "both")
@@ -325,12 +327,11 @@ def _sign_changes(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
 
 
-def _sweep_around(x: float, nearest: float, farthest: float,
-                  scale: float = 1.0) -> np.ndarray:
+def _sweep_around(x: float, nearest: float, farthest: float) -> np.ndarray:
     """x and (SWEEP_SHOTS - 1) // 2 points on each side of it, spaced
-    geometrically from scale * nearest out to scale * farthest away; sorted,
-    without duplicates."""
-    reach = scale * np.geomspace(nearest, farthest, (SWEEP_SHOTS - 1) // 2)
+    geometrically from nearest out to farthest away; sorted, without
+    duplicates.  `_refine_batched`'s sweeps."""
+    reach = np.geomspace(nearest, farthest, (SWEEP_SHOTS - 1) // 2)
     return np.unique(np.concatenate([x - reach, [x], x + reach]))
 
 
@@ -344,12 +345,16 @@ def _refine_batched(fn, ks: np.ndarray, vals: np.ndarray, i: int,
     root within a few ulps.  The new bracket is the first adjacent pair of
     finite values of opposite signs inside the old one; a sign change across
     a NaN is never used.  Stops at an exact zero, or at adjacent floats with
-    the end of smaller |value|; NaN when no usable pair is left.  With a
-    width > 0 it stops earlier, once the bracket is narrower than
-    width max(1, |x|), and returns the estimate x, which it has not evaluated.
+    the end of smaller |value|; NaN when no usable pair is left, or as soon
+    as the new bracket's larger |value| exceeds the old one's, which no
+    sub-bracket of a monotone fn can do: the bracket then holds a pole, not
+    a root.  With a width > 0 it stops earlier, once the bracket is narrower
+    than width max(1, |x|), and returns the estimate x, which it has not
+    evaluated.
     """
     while True:
         lo, hi = float(ks[i]), float(ks[i + 1])
+        bound = max(abs(vals[i]), abs(vals[i + 1]))
         if np.nextafter(lo, hi) == hi:
             return lo if abs(vals[i]) <= abs(vals[i + 1]) else hi
         near = slice(max(i - 1, 0), i + 3)  # the bracket and one neighbour each side
@@ -372,6 +377,8 @@ def _refine_batched(fn, ks: np.ndarray, vals: np.ndarray, i: int,
         if not found.size:
             return math.nan
         i = inside + int(found[0])
+        if max(abs(vals[i]), abs(vals[i + 1])) > bound:
+            return math.nan
 
 
 def _root_estimate(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float,
@@ -516,7 +523,8 @@ def _shoot_parareal(spec: ProblemSpec, u0, slope0, *,
     again.  The first pass runs F on three probe shots only, the first,
     middle and last; every other shot takes its first F - G from the
     quadratic, in its u0, through the probes' (the near sweep passes u0 =
-    slope0 = k, and its shots lie within NEAR_REACH of each other).  Each
+    slope0 = k for NEAR_SHOTS evenly spaced k, within 2 NEAR_REACH
+    max(1, |k|) of each other, and its middle probe is the located k).  Each
     later pass runs F on every shot and compares, in u and in u', each
     segment's end with the next one's start; the first whose seams all close
     within SEAM_TOL max(1, |y|) is the sweep.  So the probe pass is never
@@ -597,8 +605,10 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     `_refine_batched` stopped once the bracket is under LOCATE_WIDTH
     max(1, |k|), at the bracket's interpolated root estimate; these sweeps
     are `shoot_ivp`'s.  Then one near sweep on the problem's grid,
-    `_shoot_parareal`, shoots k and 62 points within NEAR_REACH max(1, |k|)
-    of it, spaced geometrically from one ulp.  The solution is its first
+    `_shoot_parareal`, shoots k and NEAR_SHOTS - 1 = 30 points evenly spaced
+    out to NEAR_REACH max(1, |k|) on both sides of it, so a root within that
+    reach is bracketed by two shots 2 NEAR_REACH max(1, |k|) / 30 apart,
+    however well k was located.  The solution is its first
     shot that matches exactly, else its first two adjacent shots whose
     finite mismatches change sign, u and u' interpolated linearly in k at
     the zero of the mismatch's chord, else a shot that matches to rounding.
@@ -641,7 +651,7 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     for on in grids.values():  # each grid once
         try:
             k = _scan_root(lambda ks: mismatch(ks, on), scan, locate)
-            near = _sweep_around(k, np.finfo(float).eps, NEAR_REACH, max(1.0, abs(k)))
+            near = k + NEAR_REACH * max(1.0, abs(k)) * np.linspace(-1.0, 1.0, NEAR_SHOTS)
             k_root = _scan_root(lambda ks: mismatch(ks, parareal=True), near,
                                 interpolate)
             break

@@ -16,7 +16,8 @@ from tribvp import (BoundaryCondition, Grid, HypothesisFailed, NoConvergence,
 
 from tribvp.operators import _bracket_root
 from tribvp.problem_file import load_problem, loads
-from tribvp.solver import SWEEP_SHOTS, _refine_batched, _shoot_parareal
+from tribvp.solver import (NEAR_REACH, NEAR_SHOTS, SWEEP_SHOTS, _refine_batched,
+                           _shoot_parareal)
 
 from test_acceptance import _admissible_template
 from test_operators import RefinerCases, convex_expm1, steep_tanh
@@ -62,6 +63,12 @@ NO_BRACKET_PINS = [
 FLUXES = {"curvature": curvature(), "atan": scaled_atan(1.0)}
 GENERATED = [pytest.param(bc, flux, id=f"{bc.value}-{flux}")
              for bc in BoundaryCondition for flux in FLUXES]
+
+
+def near_shots(k):
+    """The near sweep's shots around a located k, as `solve_shooting` builds
+    them."""
+    return k + NEAR_REACH * max(1.0, abs(k)) * np.linspace(-1.0, 1.0, NEAR_SHOTS)
 
 
 def generated(bc, flux, seed, n=400):
@@ -525,7 +532,7 @@ class TestShooting:
         # one take no more steps than three sweeps of the problem's grid
         assert sum(n for n, _ in sweeps) <= 3 * doc.spec.grid.n
         self.assert_coarse_then_one_fine(doc.spec, sweeps, self.DEMO_COARSE_SWEEPS[name])
-        assert sweeps[-1][1] == SWEEP_SHOTS - 1
+        assert sweeps[-1][1] == NEAR_SHOTS
         assert rep.iterations == len(sweeps)
 
     @pytest.mark.parametrize("bc,flux", GENERATED)
@@ -536,7 +543,7 @@ class TestShooting:
         rep = solve_shooting(spec)
         # the scan and one refining sweep locate k to LOCATE_WIDTH
         self.assert_coarse_then_one_fine(spec, sweeps, coarse_sweeps=2)
-        assert sweeps[-1][1] == SWEEP_SHOTS - 1
+        assert sweeps[-1][1] == NEAR_SHOTS
         assert rep.iterations == len(sweeps)
 
     def test_without_a_coarser_grid_the_near_sweep_finishes(self, monkeypatch):
@@ -547,7 +554,7 @@ class TestShooting:
         sweeps = self.record_sweeps(monkeypatch)
         rep = solve_shooting(spec)
         assert [n for n, _ in sweeps] == [spec.grid.n] * len(sweeps)
-        assert sweeps[0][1] == SWEEP_SHOTS and sweeps[-1][1] == SWEEP_SHOTS - 1
+        assert sweeps[0][1] == SWEEP_SHOTS and sweeps[-1][1] == NEAR_SHOTS
         assert rep.iterations == len(sweeps)
         assert rep.residuals.c1 <= SolveOptions().tol
 
@@ -581,29 +588,53 @@ class TestShooting:
         assert len(calls) % 4 == 0
         assert len(calls) // 4 <= 7 * np.sqrt(n)
 
-    @pytest.mark.parametrize("bc,flux", GENERATED)
-    def test_interpolant_matches_the_shot_at_the_adjacent_float_root(self, bc, flux):
-        """The near sweep's bracket refined to adjacent floats, and one shot
-        there, give the solution of the interpolated pair within 1e-13."""
-        spec = generated(bc, flux, seed=3)
-        rep = solve_shooting(spec)
+    @staticmethod
+    def serial_mismatch(spec):
+        """solve_shooting's mismatch in k on spec's grid, or on another, by
+        shoot_ivp's serial sweep."""
+        bc = spec.bc
         backward, other = bc.end == -1, -1 - bc.end
 
         def mismatch(ks, on=spec):
             us, vs = shoot_ivp(on, ks, ks, backward=backward)
             end = us[..., other] if bc is BoundaryCondition.P2 else on.phi.inv_fn(vs[..., other])
             return end - ks
+        return mismatch
+
+    @staticmethod
+    def c1_gap_to_the_shot(spec, rep, k):
+        """C1 distance from rep's solution to shoot_ivp's shot at k."""
+        us, vs = shoot_ivp(spec, k, k, backward=spec.bc.end == -1)
+        return (np.abs(rep.solution.values - us).max()
+                + np.abs(rep.solution.derivs - spec.phi.inverse(vs)).max())
+
+    @pytest.mark.parametrize("bc,flux", GENERATED)
+    def test_interpolant_matches_the_shot_at_the_adjacent_float_root(self, bc, flux):
+        """The near sweep's bracket refined to adjacent floats, and one shot
+        there, give the solution of the interpolated pair within 1e-13."""
+        spec = generated(bc, flux, seed=3)
+        rep = solve_shooting(spec)
+        mismatch = self.serial_mismatch(spec)
         solver = tribvp.solver
         coarse = solver._locate_grid(spec)
         k = solver._scan_root(lambda ks: mismatch(ks, coarse),
                               np.linspace(-3.0, 3.0, SWEEP_SHOTS), _refine_batched)
-        near = solver._sweep_around(k, np.finfo(float).eps, solver.NEAR_REACH, max(1.0, abs(k)))
-        k_root = solver._scan_root(mismatch, near, _refine_batched)
-        us, vs = shoot_ivp(spec, k_root, k_root, backward=backward)
-        gap = (np.abs(rep.solution.values - us).max()
-               + np.abs(rep.solution.derivs - spec.phi.inverse(vs)).max())
-        assert gap <= 1e-13
+        k_root = solver._scan_root(mismatch, near_shots(k), _refine_batched)
+        assert self.c1_gap_to_the_shot(spec, rep, k_root) <= 1e-13
         assert rep.residuals.c1 <= SolveOptions().tol
+
+    def test_interpolant_is_as_accurate_when_k_is_located_far_from_the_root(self):
+        # a stress problem at n = 400 whose fine root lies 0.81 NEAR_REACH
+        # from the located k: the straddling pair is still 2 NEAR_REACH / 30
+        # max(1, |k|) wide, not as wide as that distance
+        spec = singular((0.7296541837329713, 0.5021046029010398, 0.24624430683950266,
+                         0.3454410425712666, 1.0431483020830852, 0.8695627861272857),
+                        "p1t", n=400)
+        rep = solve_shooting(spec)
+        k = rep.solution.values[spec.bc.end]
+        k_root = tribvp.solver._scan_root(self.serial_mismatch(spec), near_shots(k),
+                                          _refine_batched)
+        assert self.c1_gap_to_the_shot(spec, rep, k_root) <= 1e-11
 
     # the fine root lies beyond the near sweep's reach of the coarse one, so
     # the near sweep has no sign change (the root recorded from the full scan)
@@ -616,7 +647,7 @@ class TestShooting:
         fine = [shots for n, shots in sweeps if n == spec.grid.n]
         # the near sweep, the full scan, its refining sweeps, the near sweep
         # around the root they located
-        assert fine[:2] == [SWEEP_SHOTS - 1, SWEEP_SHOTS] and fine[-1] == SWEEP_SHOTS - 1
+        assert fine[:2] == [NEAR_SHOTS, SWEEP_SHOTS] and fine[-1] == NEAR_SHOTS
         assert len(fine) > 3
         assert abs(rep.solution.values[spec.bc.end] - expected) <= 1e-13
 
@@ -701,6 +732,17 @@ class TestShooting:
         else:
             k = solve_shooting(spec).solution.values[spec.bc.end]
             assert abs(k - expected) <= 1e-13
+
+    def test_a_bracket_around_a_pole_is_given_up_after_one_sweep(self, monkeypatch):
+        # 1/(v - 0.25): the scan's one sign change is the pole at u' = 0.25,
+        # and |f| grows toward it, so the first refining sweep's bracket has
+        # a larger |value| than the scan's; each grid gives it up there
+        spec = loads("[problem]\nT = 0.1\nn = 200\nf = 1/(v-0.25)\nbc = p1\n").spec
+        sweeps = self.record_sweeps(monkeypatch)
+        with pytest.raises(NoRoot) as info:
+            solve_shooting(spec)
+        assert [n for n, _ in sweeps] == [20, 20, 25, 25, 200, 200]
+        assert info.value.iterations == 6
 
     def test_scan_in_which_every_shot_dies(self, monkeypatch):
         # u'' grows by 1000 per unit time: every shot leaves the flux range
@@ -819,7 +861,7 @@ class TestParareal:
         spec = generated(bc, flux, seed)
         (ks, backward), = self.near_sweeps(spec, monkeypatch)
         got, dims = self.parareal(spec, ks, backward, monkeypatch)
-        assert got[0].shape == got[1].shape == (SWEEP_SHOTS - 1, spec.grid.n + 1)
+        assert got[0].shape == got[1].shape == (NEAR_SHOTS, spec.grid.n + 1)
         # F passes of c = 20 steps: 4 c calls of f each, with t of shape (20, 1)
         assert dims.count(2) % 80 == 0 and dims.count(2) >= 80
         assert self.c1_gap(spec, got, shoot_ivp(spec, ks, ks, backward=backward)) <= 1e-13
@@ -830,16 +872,34 @@ class TestParareal:
         return np.shape(u) if np.ndim(t) == 2 else None
 
     @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
-    def test_first_pass_runs_f_on_three_probe_shots(self, bc, monkeypatch):
-        # n = 400: c = 20 steps on S = 20 segments; the first F pass shoots
-        # the sweep's first, middle and last shot, every later one all 63
-        spec = generated(bc, "curvature", seed=1)
-        (ks, backward), = self.near_sweeps(spec, monkeypatch)
-        _, shapes = self.parareal(spec, ks, backward, monkeypatch, self.f_shots)
+    def test_first_pass_runs_f_on_three_probe_shots(self, bc):
+        # n = 400: c = 20 steps on S = 20 segments; in a solve, the first F
+        # pass shoots the sweep's first, middle and last shot, every later
+        # one all NEAR_SHOTS
+        counted, shapes = self.counting(generated(bc, "curvature", seed=1), self.f_shots)
+        solve_shooting(counted)
         shapes = [shape for shape in shapes if shape]
         assert shapes[:80] == [(20, 3)] * 80
-        assert shapes[80:] == [(20, SWEEP_SHOTS - 1)] * (len(shapes) - 80)
+        assert shapes[80:] == [(20, NEAR_SHOTS)] * (len(shapes) - 80)
         assert len(shapes) >= 160
+
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    def test_near_sweep_shoots_evenly_spaced_shots_around_k(self, bc, monkeypatch):
+        # n = 400: the near sweep of a solve shoots the located k and
+        # NEAR_SHOTS - 1 points evenly spaced out to NEAR_REACH max(1, |k|)
+        located = []
+
+        def locate(*args, **kwargs):
+            located.append(_refine_batched(*args, **kwargs))
+            return located[-1]
+        monkeypatch.setattr(tribvp.solver, "_refine_batched", locate)
+        (ks, _), = self.near_sweeps(generated(bc, "curvature", seed=1), monkeypatch)
+        k = located[-1]
+        reach = NEAR_REACH * max(1.0, abs(k))
+        assert ks.shape == (NEAR_SHOTS,) and (np.diff(ks) > 0.0).all()
+        assert ks[NEAR_SHOTS // 2] == k
+        assert ks[0] == k - reach and ks[-1] == k + reach
+        assert np.allclose(np.diff(ks), 2.0 * reach / (NEAR_SHOTS - 1), rtol=1e-7, atol=0.0)
 
     def test_the_probe_pass_is_never_the_sweep(self, monkeypatch):
         # f == 0: v is constant and u linear, so G is exact to rounding and
@@ -847,11 +907,11 @@ class TestParareal:
         # the sweep is the second pass, over every shot
         spec = ProblemSpec(Grid(1.0, 100), curvature(),
                            RightHandSide(fn=lambda t, u, v: 0.0 * t), BoundaryCondition.P1)
-        ks = tribvp.solver._sweep_around(0.3, np.finfo(float).eps, tribvp.solver.NEAR_REACH)
+        ks = near_shots(0.3)
         got, shapes = self.parareal(spec, ks, False, monkeypatch, self.f_shots)
         shapes = [shape for shape in shapes if shape]
-        assert shapes == [(10, 3)] * 40 + [(10, SWEEP_SHOTS - 1)] * 40
-        assert got[0].shape == (SWEEP_SHOTS - 1, 101)
+        assert shapes == [(10, 3)] * 40 + [(10, NEAR_SHOTS)] * 40
+        assert got[0].shape == (NEAR_SHOTS, 101)
         assert self.c1_gap(spec, got, shoot_ivp(spec, ks, ks)) <= 1e-13
 
     @pytest.mark.parametrize("params,bc", [pin[:2] for pin in NO_BRACKET_PINS],
@@ -875,7 +935,7 @@ class TestParareal:
         spec = loads("[problem]\nT = 0.1\nn = 200\n"
                      "f = v*v*v - 4*v + 0.5*cos(6.283*t/0.1)\nbc = p1t\n").spec
         k = -2.041681934433797
-        ks = tribvp.solver._sweep_around(k, np.finfo(float).eps, tribvp.solver.NEAR_REACH, -k)
+        ks = near_shots(k)
         monkeypatch.setattr(tribvp.solver, "SEAM_TOL", 1e-13)
         got, dims = self.parareal(spec, ks, True, monkeypatch)
         assert dims.count(2) == 4 * 4 * 10  # four passes of c = 10 steps
@@ -902,8 +962,7 @@ class TestParareal:
         spec = loads("[problem]\nT = 0.1\nn = 200\n"
                      "f = v*v*v - 4*v + 0.5*cos(6.283*t/0.1)\nbc = p1\n").spec
         edge = 1.958093971923626
-        ks = tribvp.solver._sweep_around(edge, np.finfo(float).eps,
-                                         tribvp.solver.NEAR_REACH, edge)
+        ks = near_shots(edge)
         got = _shoot_parareal(spec, ks, ks)
         want = shoot_ivp(spec, ks, ks)
         dead = np.isnan(want[0]).all(axis=1)
