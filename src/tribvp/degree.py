@@ -123,8 +123,9 @@ def boundary_polygon(delta: DomainDelta, m: int = 512) -> np.ndarray:
         raise PreconditionViolated(f"the strip [{x_lo:.6g}, {x_hi:.6g}] must contain "
                                    "x = 0, so that each wall is swept once")
     corners = [math.acos(x / rho) for x in (x_lo, x_hi) if abs(x) < rho]
-    theta = np.union1d(np.linspace(0.0, 2.0 * math.pi, m + 1)[:-1],
-                       corners + [2.0 * math.pi - c for c in corners])
+    # a set, not np.union1d, which imports numpy.ma
+    theta = np.array(sorted({*np.linspace(0.0, 2.0 * math.pi, m + 1)[:-1].tolist(),
+                             *corners, *(2.0 * math.pi - c for c in corners)}))
     poly = np.column_stack([np.clip(rho * np.cos(theta), x_lo, x_hi), rho * np.sin(theta)])
     return np.vstack([poly, poly[:1]])
 

@@ -21,7 +21,8 @@ the slope by r and the solution norm by r * (2 + T); see `HypothesisReport`.
 
 Sampled conditions probe f at points i = 1..N of the R_3 Kronecker sequence
 (shift + i * (g^-1, g^-2, g^-3)) mod 1, g the real root of x^4 = x + 1, mapped
-affinely onto the box; the Cranley-Patterson shift is drawn from the box seed.
+affinely onto the box; the Cranley-Patterson shift is drawn from the box seed,
+as numpy's default_rng would draw it but without importing numpy.random.
 A probe walks the points in blocks of `operators.BLOCK`, building each block
 one contiguous coordinate at a time (a float `%` over the strided (N, 3)
 layout took two thirds of a probe) and calling f once per block, so that no
@@ -38,7 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,7 +139,52 @@ class HypothesisReport:
 _R3_ALPHA = 1.2207440846057596 ** -np.arange(1.0, 4.0)  # root of x^4 = x + 1
 
 
-def _quasi_random(shift: np.ndarray, start: int, stop: int) -> list[np.ndarray]:
+def _pcg64_uniforms(seed: int, count: int) -> list[float]:
+    """np.random.default_rng(seed).random(count), bit for bit, for a seed >= 0:
+    numpy's SeedSequence (a pool of 4 uint32 words) seeds PCG64 (O'Neill,
+    XSL-RR 128/64), and a double is its output's top 53 bits times 2^-53.
+    Importing numpy.random (with hashlib, hmac and secrets) for three
+    doubles cost a `check` process 10-13 ms."""
+    m32, m64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+
+    def hasher(hash_const: int, mult: int) -> Callable[[int], int]:
+        def hashmix(value: int) -> int:
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * mult & m32
+            value = value * hash_const & m32
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x: int, y: int) -> int:
+        value = 0xca01f9dd * x - 0x4973f715 * y & m32
+        return value ^ value >> 16
+
+    entropy = [seed >> s & m32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = hasher(0x43b0d7e5, 0x931e8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    hashmix = hasher(0x8b51f9dd, 0x58f38ded)  # generate_state(4, uint64)
+    words = [hashmix(pool[i % 4]) for i in range(8)]  # low word first
+    w0, w1, w2, w3 = (words[j] | words[j + 1] << 32 for j in range(0, 8, 2))
+    mult, m128 = 0x2360ed051fc65da44385df649fccf645, (1 << 128) - 1
+    inc = ((w2 << 64 | w3) << 1 | 1) & m128
+    state = ((inc + (w0 << 64 | w1)) * mult + inc) & m128
+    out = []
+    for _ in range(count):
+        state = (state * mult + inc) & m128
+        value, rot = (state >> 64 ^ state) & m64, state >> 122
+        value = (value >> rot | value << (-rot & 63)) & m64
+        out.append((value >> 11) * 2.0 ** -53)
+    return out
+
+
+def _quasi_random(shift: Sequence[float], start: int, stop: int) -> list[np.ndarray]:
     """Points start + 1..stop of the R_3 sequence shifted by `shift`, as three
     contiguous coordinate arrays, bit-identical to (shift + i * _R3_ALPHA) % 1.0
     on an (N, 3) array (x - floor(x) is exact for x >= 0) without that strided
@@ -155,7 +201,7 @@ def _probe(spec: ProblemSpec, box: SamplingBox, y_lo: float, y_hi: float,
     """The box's samples in order, as blocks (t, x, y, f) of at most BLOCK
     points: block k holds points k BLOCK + 1..(k + 1) BLOCK of the sequence,
     with the shift drawn from box.seed + seed_shift, and y in [y_lo, y_hi)."""
-    shift = np.random.default_rng(box.seed + seed_shift).random(3)
+    shift = _pcg64_uniforms(box.seed + seed_shift, 3)
     for start in range(0, box.samples, BLOCK):
         t, x, y = _quasi_random(shift, start, min(start + BLOCK, box.samples))
         t *= spec.grid.T

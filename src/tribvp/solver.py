@@ -330,9 +330,10 @@ def _sign_changes(vals: np.ndarray) -> np.ndarray:
 def _sweep_around(x: float, nearest: float, farthest: float) -> np.ndarray:
     """x and (SWEEP_SHOTS - 1) // 2 points on each side of it, spaced
     geometrically from nearest out to farthest away; sorted, without
-    duplicates.  `_refine_batched`'s sweeps."""
+    duplicates (a set, not np.unique, which imports numpy.ma).
+    `_refine_batched`'s sweeps."""
     reach = np.geomspace(nearest, farthest, (SWEEP_SHOTS - 1) // 2)
-    return np.unique(np.concatenate([x - reach, [x], x + reach]))
+    return np.array(sorted({*(x - reach).tolist(), x, *(x + reach).tolist()}))
 
 
 def _refine_batched(fn, ks: np.ndarray, vals: np.ndarray, i: int,

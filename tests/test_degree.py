@@ -103,6 +103,44 @@ def test_circle_polygon_is_the_sampled_circle(m):
     assert np.array_equal(poly[-1], poly[0])
 
 
+def union1d_polygon(delta, m):
+    """boundary_polygon by the np.union1d formula for its angles."""
+    x_lo, x_hi = delta.phi.inverse(-delta.kappa), delta.phi.inverse(delta.kappa)
+    corners = [math.acos(x / delta.rho) for x in (x_lo, x_hi) if abs(x) < delta.rho]
+    theta = np.union1d(np.linspace(0.0, 2.0 * math.pi, m + 1)[:-1],
+                       corners + [2.0 * math.pi - c for c in corners])
+    poly = np.column_stack([np.clip(delta.rho * np.cos(theta), x_lo, x_hi),
+                            delta.rho * np.sin(theta)])
+    return np.vstack([poly, poly[:1]])
+
+
+def walls_at(x_lo, x_hi) -> Homeomorphism:
+    """A flux whose walls sit exactly at x_lo and x_hi for every kappa."""
+    return Homeomorphism("walls", 1.0, fwd_fn=np.tanh,
+                         inv_fn=lambda y: np.where(y > 0.0, x_hi, x_lo))
+
+
+def sample_cosine(j, m=256):
+    return math.cos(np.linspace(0.0, 2.0 * math.pi, m + 1)[j])
+
+
+@pytest.mark.parametrize("delta, m, corners", [
+    (circle_domain(), 64, 0), (circle_domain(), 500, 0), (circle_domain(), 512, 0),
+    (DomainDelta(1.0, 0.5, curvature()), 256, 4),
+    (DomainDelta(0.4, 0.5, lopsided()), 256, 2),
+    (DomainDelta(2.5, 0.3, curvature()), 1000, 4),
+    # all four corners fall on sample angles: the union drops them
+    (DomainDelta(1.0, 0.5, walls_at(sample_cosine(96), sample_cosine(32))), 256, 0),
+    (DomainDelta(1.0, 0.5, walls_at(sample_cosine(104), 2.0)), 256, 0),
+], ids=["circle-64", "circle-500", "circle-512", "strip", "lopsided", "wide",
+        "corners-on-samples", "one-wall-on-samples"])
+def test_polygon_is_the_union1d_formula(delta, m, corners):
+    want = union1d_polygon(delta, m)
+    got = boundary_polygon(delta, m)
+    assert want.shape == (m + corners + 1, 2)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
 def test_strip_off_the_origin_is_refused():
     # phi(0) = tanh(-1) < -kappa: both walls lie right of x = 0
     shifted = Homeomorphism("shifted", 1.0, fwd_fn=lambda s: np.tanh(s - 1.0),

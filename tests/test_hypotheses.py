@@ -10,8 +10,8 @@ from tribvp import (BoundaryCondition, Grid, HypothesisData, HypothesisFailed,
                     InvalidThresholds, ProblemSpec, RightHandSide, SamplingBox,
                     Verdict, check_problem, curvature, load_problem, scaled_atan)
 from tribvp.degree import degree_for_problem
-from tribvp.hypotheses import (_R3_ALPHA, _probe, _quasi_random, check_bound_p2,
-                               check_sign_condition, compute_bounds_p1)
+from tribvp.hypotheses import (_R3_ALPHA, _pcg64_uniforms, _probe, _quasi_random,
+                               check_bound_p2, check_sign_condition, compute_bounds_p1)
 from tribvp.operators import BLOCK
 
 BOX = SamplingBox(samples=20_000, seed=0)  # smaller box keeps the suite fast
@@ -117,6 +117,23 @@ class TestSampler:
         for a, b in zip(got, (t, x, y, t * x - y)):
             assert a.tobytes() == b.tobytes()
 
+
+    # numpy.random is imported here only: the probe draws its shift without it
+    @pytest.mark.parametrize("seeds", [
+        range(2001),
+        [2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3],
+        [2**200 + 12345, 3**200],  # more entropy words than the pool's 4
+    ], ids=["0-2000", "word-edges", "long-entropy"])
+    def test_shift_is_numpys_pcg64_stream(self, seeds):
+        for seed in seeds:
+            want = np.random.default_rng(seed).random(3)
+            got = np.array(_pcg64_uniforms(seed, 3))
+            assert got.tobytes() == want.tobytes(), seed
+
+    def test_pcg64_stream_continues_past_three_draws(self):
+        for seed in (0, 5, 2**40, 2**200 + 12345):
+            want = np.random.default_rng(seed).random(1000)
+            assert np.array(_pcg64_uniforms(seed, 1000)).tobytes() == want.tobytes()
 
 class TestSamplingBox:
     @pytest.mark.parametrize("name, value", [

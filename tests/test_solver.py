@@ -17,7 +17,7 @@ from tribvp import (BoundaryCondition, Grid, HypothesisFailed, NoConvergence,
 from tribvp.operators import _bracket_root
 from tribvp.problem_file import load_problem, loads
 from tribvp.solver import (NEAR_REACH, NEAR_SHOTS, SWEEP_SHOTS, _refine_batched,
-                           _shoot_parareal)
+                           _shoot_parareal, _sweep_around)
 
 from test_acceptance import _admissible_template
 from test_operators import RefinerCases, convex_expm1, steep_tanh
@@ -1028,6 +1028,24 @@ class TestRefineBatched(RefinerCases):
         assert xs[hi - 1] < estimate < xs[hi] < xs[hi - 1] + 1e-4
         assert fn(xs[hi - 1]) < 0.0 < fn(xs[hi])
 
+
+    @pytest.mark.parametrize("x, nearest, farthest, duplicates", [
+        (1.0, 1e-17, 1e-3, True),              # the nearest reaches round back to x
+        (1.0, np.spacing(1.0), 1e-14, True),   # several reaches round to one float
+        (2.0, np.spacing(2.0) / 2, 1e-12, True),
+        (-2.0, 1e-16, 1e-15, True),            # 63 points, 8 floats
+        (-3.5, np.spacing(3.5), 0.25, False),
+        (0.0, np.spacing(0.0), 1.0, False),
+        (0.1, np.spacing(0.1), 0.05, False),
+        (-1e6, np.spacing(1e6), 1e3, False),
+    ])
+    def test_sweep_around_is_the_np_unique_formula(self, x, nearest, farthest, duplicates):
+        reach = np.geomspace(nearest, farthest, (SWEEP_SHOTS - 1) // 2)
+        want = np.unique(np.concatenate([x - reach, [x], x + reach]))
+        got = _sweep_around(x, nearest, farthest)
+        assert (want.size < SWEEP_SHOTS - 1) == duplicates
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 class TestCrossValidate:
     def test_steep_agreement(self):
