@@ -9,7 +9,8 @@ failures among them come from one table per subcommand, `EXIT_CODES`:
         boundary or a non-finite f (degree)
     3   hypothesis hard-failure under --require-hypotheses, or seeding failure
     4   unreadable input: bad command line, file, expression, option or
-        domain errors, M1 >= M2; or an --out file solve cannot write
+        domain errors, M1 >= M2; an --out file solve cannot write; or a grid
+        or sample count too large to allocate (a MemoryError)
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return code
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 4
 
 
 class _Parser(argparse.ArgumentParser):

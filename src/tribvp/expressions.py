@@ -2,9 +2,7 @@
 
 Variables t, u, v (v stands for the derivative u'), the binary operators
 + - * / ^ with ^ binding tightest and associating to the right, unary minus,
-a fixed catalog of functions, and the constants pi and e.  Parsing is by
-recursive descent over a hand-rolled tokenizer; errors carry the byte offset
-into the source string.
+a fixed catalog of functions, and the constants pi and e.
 
 Grammar:
 
@@ -15,6 +13,13 @@ Grammar:
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 So -x^2 parses as -(x^2) and 2^3^2 as 2^(3^2).
+
+Input is ASCII.  One compiled pattern, `_TOKEN`, tokenizes the whole text
+before parsing; a character it has no token for, a non-ASCII digit or letter
+among them, is refused.  The recursive descent passes levels: `chain`,
+`factor` and `atom` take the nesting level their text opens at and return
+their tree with the deepest level it reaches.  Error offsets count
+characters of the ASCII text, and so bytes.
 
 Nesting is limited to MAX_NESTING levels.  An open parenthesis, a function
 argument, a unary minus and a '^' each nest one level deeper; an operator of a
@@ -27,6 +32,7 @@ recursive tree walk stay within Python's own limits.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -82,179 +88,112 @@ class Call:
 Node = Union[Num, Var, Unary, Binary, Call]
 
 
-# ----------------------------------------------------------------- tokenizer
+# -------------------------------------------------------------------- parser
 
-_OPS = set("+-*/^()")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'name' | 'op' | 'end'
-    text: str
-    pos: int
+_TOKEN = re.compile(r"""[ \t\r\n]*(?:
+    (?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]*)(?:[eE][+-]?[0-9]+)?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[-+*/^()])
+  | (?P<end>\Z)
+  | (?P<bad>.))""", re.DOTALL | re.VERBOSE)
 
 
-def _tokenize(src: str) -> list[_Token]:
-    out: list[_Token] = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in _OPS:
-            out.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    while k < n and src[k].isdigit():
-                        k += 1
-                    j = k
-            text = src[i:j]
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token; an 'end' token comes last."""
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in _TOKEN.finditer(src)]
+    for kind, text, offset in tokens:
+        if kind == "bad":
+            raise ExpressionSyntaxError(
+                f"unexpected character {text!r}", position=offset)
+        if kind == "num":
             try:
                 value = float(text)
             except ValueError:
                 raise ExpressionSyntaxError(
-                    f"malformed number {text!r}", position=i) from None
+                    f"malformed number {text!r}", position=offset) from None
             if not math.isfinite(value):
                 raise ExpressionSyntaxError(
-                    f"number {text!r} is not finite", position=i)
-            out.append(_Token("num", text, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            out.append(_Token("name", src[i:j], i))
-            i = j
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", position=i)
-    out.append(_Token("end", "", n))
-    return out
+                    f"number {text!r} is not finite", position=offset)
+    return tokens
 
 
-# -------------------------------------------------------------------- parser
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-        self.depth = 0  # nesting levels open around the current token
-        self.reach = 0  # deepest level of the subtree parsed last
-
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        if self.cur.kind == "op" and self.cur.text == op:
-            self.advance()
-            return
+def _level(level: int, offset: int) -> int:
+    """level, refused at offset when it is past MAX_NESTING."""
+    if level > MAX_NESTING:
         raise ExpressionSyntaxError(
-            f"expected {op!r}", position=self.cur.pos)
-
-    def level(self, level: int, tok: _Token) -> int:
-        """level, refused with tok's offset when it is past MAX_NESTING."""
-        if level > MAX_NESTING:
-            raise ExpressionSyntaxError(
-                f"expression nested more than {MAX_NESTING} levels deep",
-                position=tok.pos)
-        return level
-
-    def enter(self) -> _Token:
-        """Consume the token that opens one more level of nesting."""
-        tok = self.advance()
-        self.depth = self.level(self.depth + 1, tok)
-        return tok
-
-    def parse(self) -> Node:
-        node = self.chain("+-")
-        if self.cur.kind != "end":
-            raise ExpressionSyntaxError(
-                f"unexpected trailing input {self.cur.text!r}",
-                position=self.cur.pos)
-        return node
-
-    def chain(self, ops: str) -> Node:
-        """expr (ops '+-', over terms) or term (ops '*/', over factors).  The
-        tree is left-deep, so each operator reaches one level past the deeper
-        of its operands."""
-        node = self.chain("*/") if ops == "+-" else self.factor()
-        reach = self.reach
-        while self.cur.kind == "op" and self.cur.text in ops:
-            tok = self.advance()
-            node = Binary(tok.text, node,
-                          self.chain("*/") if ops == "+-" else self.factor())
-            reach = self.level(max(reach, self.reach) + 1, tok)
-        self.reach = reach
-        return node
-
-    def factor(self) -> Node:
-        if self.cur.kind == "op" and self.cur.text == "-":
-            self.enter()
-            node = Unary("-", self.factor())
-            self.depth -= 1
-            return node
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        if self.cur.kind == "op" and self.cur.text == "^":
-            reach, tok = self.reach, self.enter()
-            node = Binary("^", node, self.factor())
-            self.depth -= 1
-            self.reach = self.level(max(reach + 1, self.reach), tok)
-        return node
-
-    def atom(self) -> Node:
-        tok = self.cur
-        self.reach = self.depth
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            if not (self.cur.kind == "op" and self.cur.text == "("):
-                if tok.text in VARIABLES:
-                    return Var(tok.text)
-                if tok.text in CONSTANTS:
-                    return Num(CONSTANTS[tok.text])
-                raise UnknownIdentifier(
-                    f"unknown identifier {tok.text!r}", position=tok.pos)
-            if tok.text not in FUNCTIONS:
-                raise UnknownIdentifier(
-                    f"unknown function {tok.text!r}", position=tok.pos)
-        elif not (tok.kind == "op" and tok.text == "("):
-            raise ExpressionSyntaxError(
-                f"expected a value, got {tok.text!r}" if tok.kind != "end"
-                else "unexpected end of input", position=tok.pos)
-        self.enter()
-        node = self.chain("+-")
-        self.expect_op(")")
-        self.depth -= 1
-        return Call(tok.text, node) if tok.kind == "name" else node
+            f"expression nested more than {MAX_NESTING} levels deep",
+            position=offset)
+    return level
 
 
 def parse(src: str) -> Node:
-    return _Parser(src).parse()
+    tokens = _tokenize(src)
+    at = 0  # index of the current token
+
+    def take(ops: str):
+        """The current token, consumed, if it is one of the operators ops."""
+        nonlocal at
+        if tokens[at][0] == "op" and tokens[at][1] in ops:
+            at += 1
+            return tokens[at - 1]
+
+    def chain(depth: int, ops: str) -> tuple[Node, int]:
+        """expr (ops '+-', over terms) or term (ops '*/', over factors).  The
+        tree is left-deep, so each operator reaches one level past the deeper
+        of its operands."""
+        node, reach = chain(depth, "*/") if ops == "+-" else factor(depth)
+        while token := take(ops):
+            right, deepest = chain(depth, "*/") if ops == "+-" else factor(depth)
+            node = Binary(token[1], node, right)
+            reach = _level(max(reach, deepest) + 1, token[2])
+        return node, reach
+
+    def factor(depth: int) -> tuple[Node, int]:
+        """factor, with the grammar's power rule folded in."""
+        if token := take("-"):
+            node, reach = factor(_level(depth + 1, token[2]))
+            return Unary("-", node), reach
+        node, reach = atom(depth)
+        if token := take("^"):
+            right, deepest = factor(_level(depth + 1, token[2]))
+            node = Binary("^", node, right)
+            reach = _level(max(reach + 1, deepest), token[2])
+        return node, reach
+
+    def atom(depth: int) -> tuple[Node, int]:
+        nonlocal at
+        kind, text, offset = tokens[at]
+        at += 1
+        if kind == "num":
+            return Num(float(text)), depth
+        if kind == "name":
+            opened = take("(")
+            if not opened:
+                if text in VARIABLES:
+                    return Var(text), depth
+                if text in CONSTANTS:
+                    return Num(CONSTANTS[text]), depth
+                raise UnknownIdentifier(
+                    f"unknown identifier {text!r}", position=offset)
+            if text not in FUNCTIONS:
+                raise UnknownIdentifier(
+                    f"unknown function {text!r}", position=offset)
+            offset = opened[2]  # the argument's level opens at its '('
+        elif not (kind == "op" and text == "("):
+            raise ExpressionSyntaxError(
+                f"expected a value, got {text!r}" if kind != "end"
+                else "unexpected end of input", position=offset)
+        node, reach = chain(_level(depth + 1, offset), "+-")
+        if not take(")"):
+            raise ExpressionSyntaxError("expected ')'", position=tokens[at][2])
+        return (Call(text, node) if kind == "name" else node), reach
+
+    node, _ = chain(0, "+-")
+    if tokens[at][0] != "end":
+        raise ExpressionSyntaxError(f"unexpected trailing input "
+                                    f"{tokens[at][1]!r}", position=tokens[at][2])
+    return node
 
 
 # ----------------------------------------------------------------- evaluator

@@ -166,6 +166,16 @@ class TestSolve:
         assert main(["solve", path]) == 4
         assert "nested more than 160 levels" in capsys.readouterr().err
 
+    def test_grid_too_large_to_allocate_exit_4(self, tmp_path, capsys):
+        # 10**15 nodes are 8 PB, which numpy refuses at once
+        path = write(tmp_path, "[problem]\nT = 1\nn = 1000000000000000\n"
+                               "f = 0.4*cos(u)\nbc = p2\n")
+        assert main(["solve", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_require_hypotheses_misordered_thresholds_exit_4(self, tmp_path,
                                                             capsys):
         path = write(tmp_path, MISORDERED)
@@ -237,6 +247,15 @@ class TestCheck:
         assert main(["check", path]) == 4
         captured = capsys.readouterr()
         assert "M1 must be below M2" in captured.err
+        assert captured.out == ""
+
+    def test_envelope_in_u_exit_4(self, tmp_path, capsys):
+        path = write(tmp_path, "[problem]\nT = 0.01\nf = exp(4*v) - e\n"
+                               "bc = p1\n[hypotheses]\nc_lower = -3 + u\n")
+        assert main(["check", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ("error: [hypotheses] c_lower: variable(s) "
+                                "['u'] not allowed here (allowed: t)\n")
         assert captured.out == ""
 
     def test_seed_changes_nothing_essential(self, capsys):
@@ -376,6 +395,17 @@ class TestDegree:
     def test_bad_domain_exit_4(self, capsys):
         code = main(["degree", STEEP, "--rho", "1.2", "--kappa", "1.5"])
         assert code == 4
+
+    def test_samples_too_many_to_allocate_exit_4(self, capsys):
+        # 10**15 angles are 8 PB, which numpy refuses at once; exit 1 would
+        # read as a zero degree
+        code = main(["degree", STEEP, "--rho", "1.2", "--kappa", "0.9",
+                     "--samples", "1000000000000000"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_samples_flag(self, capsys):
         code = main(["degree", STEEP, "--rho", "1.2", "--kappa", "0.9",

@@ -127,6 +127,51 @@ def test_syntax_errors_carry_offsets():
     assert info.value.position == 2
 
 
+@pytest.mark.parametrize("src, error, message, offset", [
+    ("t(1)", UnknownIdentifier, "unknown function 't'", 0),
+    ("sin(1", ExpressionSyntaxError, "expected ')'", 5),
+    ("1 +", ExpressionSyntaxError, "unexpected end of input", 3),
+    ("1 2", ExpressionSyntaxError, "unexpected trailing input '2'", 2),
+    ("(", ExpressionSyntaxError, "unexpected end of input", 1),
+    (")", ExpressionSyntaxError, "expected a value, got ')'", 0),
+    # a dangling exponent marker ends the number; 'e' is then the constant
+    ("2e", ExpressionSyntaxError, "unexpected trailing input 'e'", 1),
+    ("1.2.3", ExpressionSyntaxError, "unexpected trailing input '.3'", 3),
+    ("u^^2", ExpressionSyntaxError, "expected a value, got '^'", 2),
+])
+def test_error_type_message_and_offset(src, error, message, offset):
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse(src)
+    assert type(info.value) is error
+    assert str(info.value) == f"{message} (offset {offset})"
+    assert info.value.position == offset
+
+
+def test_power_nests_one_level_past_a_deep_base():
+    # the base reaches 160 levels alone; its '^' is the 161st, found only
+    # after the exponent is parsed
+    parse("(" * 159 + "u" + ")" * 159 + "^2")
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse("(" * 160 + "u" + ")" * 160 + "^2")
+    assert str(info.value) == (f"expression nested more than {MAX_NESTING} "
+                               f"levels deep (offset 321)")
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("1\u0663.5", 1),      # Arabic-Indic three, once read as a digit
+    ("u + \uff11", 4),     # fullwidth one, once read as the number 1
+    ("\u00e9", 0),         # once an unknown identifier
+    ("u\u00b2", 1),        # superscript two, once part of a name
+    ("u\u00a0+ v", 1),     # no-break space, refused before too
+])
+def test_a_non_ascii_character_is_refused_at_its_offset(src, offset):
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse(src)
+    assert type(info.value) is ExpressionSyntaxError
+    assert str(info.value) == (f"unexpected character {src[offset]!r} "
+                               f"(offset {offset})")
+
+
 def test_signed_exponents_and_a_lone_dot():
     assert ev("1e-3") == 1e-3
     assert ev("2.5E+2*u", u=2.0) == 500.0
@@ -154,11 +199,34 @@ def nested(construct, n):
         "sum": " + ".join(["0.001*u"] * n),
         # a deep first operand under a long chain: the chain's left-deep tree
         # puts it n levels down although neither half alone is that deep
-        "deep-then-sum": "-" * (n // 2) + "u" + " + u" * (n // 2),
+        "deep-then-sum": "-" * (n - n // 2) + "u" + " + u" * (n // 2),
     }[construct]
 
 
 CONSTRUCTS = ["unary", "parens", "function", "power", "sum", "deep-then-sum"]
+
+# levels that nested(construct, n) opens beyond n: the product inside the
+# parentheses is one more, and n powers have n - 1 carets
+EXTRA_LEVELS = {"parens": 1, "power": -1}
+
+
+@pytest.mark.parametrize("construct, offset", [
+    ("unary", 160),           # the 161st '-'
+    ("parens", 163),          # the '*' of 0.1*u inside 160 parentheses
+    ("function", 643),        # the '(' of the 161st sin
+    ("power", 321),           # the 161st '^'
+    ("sum", 1598),            # the 160th '+'
+    ("deep-then-sum", 399),   # the 80th '+' after 81 minus signs
+])
+def test_one_level_past_the_limit_is_refused_at_its_offset(construct, offset):
+    n = MAX_NESTING + 1 - EXTRA_LEVELS.get(construct, 0)
+    parse(nested(construct, n - 1))
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse(nested(construct, n))
+    assert type(info.value) is ExpressionSyntaxError
+    assert str(info.value) == (f"expression nested more than {MAX_NESTING} "
+                               f"levels deep (offset {offset})")
+    assert info.value.position == offset
 
 
 @pytest.mark.parametrize("construct", CONSTRUCTS)
