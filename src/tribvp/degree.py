@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import (EmptyDomain, NonFinite, PreconditionViolated,
                      RefinementExhausted, ZeroOnBoundary)
+from .grid import integer_at_least
 from .homeomorphisms import Homeomorphism
 from .operators import BoundaryCondition, ProblemSpec, affine_mean
 
@@ -114,8 +115,10 @@ def boundary_polygon(delta: DomainDelta, m: int = 512) -> np.ndarray:
     samples are at most 2 pi rho / m apart, plus the corners where a wall
     meets the circle.  The first point is repeated (exactly) as the last.
     """
-    if m < 64:
-        raise PreconditionViolated(f"need at least 64 boundary samples, got {m}")
+    try:
+        m = integer_at_least("the boundary sample count", m, 64)
+    except ValueError as exc:
+        raise PreconditionViolated(str(exc)) from None
     rho = delta.rho
     x_lo = delta.phi.inverse(-delta.kappa)
     x_hi = delta.phi.inverse(delta.kappa)

@@ -20,10 +20,10 @@ The shooting root is located on `_locate_grid`'s, about sqrt(n) intervals,
 by sweeps placed geometrically around an interpolated root estimate, until
 its bracket is under LOCATE_WIDTH max(1, |k|), on that grid, or else on the
 `_coarse` one, or else on the problem's; then one sweep on the problem's
-grid, of NEAR_SHOTS shots evenly spaced around that estimate, brackets it
-again, and the solution interpolates the two shots of that bracket.  That
-near sweep runs time-parallel, by parareal over about sqrt(n) segments
-(`_shoot_parareal`);
+grid, of NEAR_SHOTS = 3 shots, that estimate and one on each side of it,
+brackets it again, and the solution interpolates those shots quadratically
+(`_lagrange`).  That near sweep runs time-parallel, by parareal over about
+sqrt(n) segments (`_shoot_parareal`);
 every other sweep is `shoot_ivp`'s serial one, and both step through one
 RK4 kernel, `_rk4`.  A shot whose flux leaves (-a, a) gets a NaN u at its
 next stage and keeps it, so a serial sweep runs to its end, even when every
@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import (BvpError, HypothesisFailed, NoConvergence, NonFinite,
                      NoRoot, PreconditionViolated, RangeViolation, StepRejected)
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, integer_at_least
 from .operators import (BoundaryCondition, ProblemSpec, ResidualReport,
                         _bracket_root, affine_mean, bc_defects,
                         fixed_point_map, residual)
@@ -70,8 +70,8 @@ SEED_RADIUS = 2.0    # the seed scans k in [-2, 2], shooting in [-3, 3]
 SWEEP_SHOTS = 64     # shots of the shooting scan, at most as many per refining sweep
 COARSENING = 8       # the seed scans first on n // 8 intervals ...
 MIN_COARSE_N = 16    # ... but on no fewer than 16, nor does shooting locate on fewer
-NEAR_REACH = 1e-6    # the near sweep around a located root reaches 1e-6 max(1, |k|) ...
-NEAR_SHOTS = 31      # ... in 31 evenly spaced shots, the root estimate the middle one
+NEAR_REACH = 1e-6    # the near sweep around a located root k reaches 1e-6 max(1, |k|) ...
+NEAR_SHOTS = 3       # ... on each side: its shots are k - reach, k and k + reach
 LOCATE_WIDTH = 1e-4  # a root is located once its bracket is under 1e-4 max(1, |k|)
 SEAM_TOL = 1e-14     # a parareal seam closes within 1e-14 max(1, |y|), in u and u'
 BACKENDS = ("fixed-point", "shooting", "both")
@@ -92,10 +92,10 @@ class SolveOptions:
     backend: str = "fixed-point"
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol!r}")
-        if self.max_iters < 1:
-            raise ValueError("the iteration budget must be >= 1")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
+        object.__setattr__(self, "max_iters",
+                           integer_at_least("iteration budget", self.max_iters, 1))
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
 
@@ -124,8 +124,8 @@ class SolveReport:
 
     For the fixed-point backend `residuals.c1` is the fixed-point defect and
     is <= tol on success.  For the shooting backend it is the boundary
-    matching defect of the solution, which interpolates two adjacent shots
-    (see `solve_shooting`): the defect of the interpolant, not of either shot.
+    matching defect of the solution, which interpolates the near sweep's shots
+    (see `solve_shooting`): the interpolant's defect, not any one shot's.
     (The integrator satisfies its own difference equations exactly, so the
     operator metric would only measure the gap between two discretizations.)
     """
@@ -389,16 +389,22 @@ def _root_estimate(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float,
     the secant point of the bracket, then to its midpoint, when the estimate
     is not strictly inside (lo, hi)."""
     finite = np.isfinite(ys)
-    xs, ys = xs[finite], ys[finite]
     with np.errstate(all="ignore"):
-        # Lagrange weights at y = 0: prod over m != j of -y_m / (y_j - y_m)
-        ratios = -ys[None, :] / (ys[:, None] - ys[None, :])
-        np.fill_diagonal(ratios, 1.0)
-        x = lo + float(ratios.prod(axis=1) @ (xs - lo))
+        x = lo + float(_lagrange(ys[finite], 0.0) @ (xs[finite] - lo))
     if lo < x < hi:
         return x
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     return x if lo < x < hi else 0.5 * (lo + hi)
+
+
+def _lagrange(nodes: np.ndarray, at: float) -> np.ndarray:
+    """Weights w of the polynomial through the nodes at `at`, its value there
+    w @ values: w[j] = prod over m != j of (x_m - at) / (x_m - x_j).  Exactly
+    one-hot when `at` is a node; inf or NaN where two nodes coincide."""
+    with np.errstate(all="ignore"):
+        ratios = (nodes[None, :] - at) / (nodes[None, :] - nodes[:, None])
+    np.fill_diagonal(ratios, 1.0)
+    return ratios.prod(axis=1)
 
 
 # ------------------------------------------------------------------ shooting
@@ -521,17 +527,10 @@ def _shoot_parareal(spec: ProblemSpec, u0, slope0, *,
     t as an (S, 1) array, one time per segment.  G chains the segments'
     starts, and each pass runs F from them.  The starts are then corrected
     in order, new(s + 1) = G(new(s)) + F(old(s)) - G(old(s)), and F runs
-    again.  The first pass runs F on three probe shots only, the first,
-    middle and last; every other shot takes its first F - G from the
-    quadratic, in its u0, through the probes' (the near sweep passes u0 =
-    slope0 = k for NEAR_SHOTS evenly spaced k, within 2 NEAR_REACH
-    max(1, |k|) of each other, and its middle probe is the located k).  Each
-    later pass runs F on every shot and compares, in u and in u', each
+    again.  Each pass runs F on every shot and compares, in u and in u', each
     segment's end with the next one's start; the first whose seams all close
-    within SEAM_TOL max(1, |y|) is the sweep.  So the probe pass is never
-    the sweep, and an inexact quadratic can cost a pass but never lets an
-    inexact sweep through.  Each pass costs c + S sequential steps, and at
-    most (n - 1) // (c + S) passes run, so fewer sequential steps than n.
+    within SEAM_TOL max(1, |y|) is the sweep.  A pass costs c + S sequential
+    steps, and at most (n - 1) // (c + S) passes run: fewer steps than n.
     The sweep is `shoot_ivp`'s own:
       - when fewer than 4 passes fit (n <= 64 for c and S near sqrt(n),
         and every n with c < 4 or S < 4, prime n among them);
@@ -553,35 +552,24 @@ def _shoot_parareal(spec: ProblemSpec, u0, slope0, *,
     y0, s0 = np.broadcast_arrays(np.asarray(u0, dtype=float),
                                  np.asarray(slope0, dtype=float))
     shape, m = y0.shape, y0.size
-    k = y0.ravel()
     coarse = np.empty((segments + 1, 2, m))  # coarse[s] = (u, v) at the start of segment s
-    coarse[0, 0] = k
+    coarse[0, 0] = y0.ravel()
     coarse[0, 1] = phi.forward(s0.ravel())
-    shots = np.array([0, m // 2, m - 1]) if m > 3 else np.arange(m)  # F's shots, first pass
     with np.errstate(all="ignore"):
         _rk4(f, inv, coarse, starts, c * h)
         g_prev = coarse[1:].copy()  # G of each start of the last pass
         for iteration in range(passes):
             if iteration:
-                delta = fine[c].swapaxes(0, 1) - g_prev[..., shots]  # F - G of the old starts
-                if shots.size < m:  # every shot's F - G from the probes' quadratic in u0
-                    kp = k[shots]
-                    d = k - kp[:, None]  # d[p]: each shot's u0 less probe p's
-                    lagrange = [d[q] * d[r] / ((kp[p] - kp[q]) * (kp[p] - kp[r]))
-                                for p, q, r in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
-                    delta = delta @ np.stack(lagrange)
-                    shots = np.arange(m)
+                delta = fine[c].swapaxes(0, 1) - g_prev  # F - G of the old starts
                 for s in range(segments):
                     _rk4(f, inv, coarse[s:s + 2], starts[s:s + 1], c * h)
                     g_prev[s] = coarse[s + 1]
                     coarse[s + 1] += delta[s]
-            fine = np.empty((c + 1, 2, segments, shots.size))  # fine[i, :, s]: after step i of s
-            fine[0] = coarse[:-1, :, shots].swapaxes(0, 1)
+            fine = np.empty((c + 1, 2, segments, m))  # fine[i, :, s]: after step i of s
+            fine[0] = coarse[:-1].swapaxes(0, 1)
             _rk4(f, inv, fine, times, h)
             if not (np.isfinite(fine).all() and (np.abs(fine[:, 1]) < phi.a).all()):
                 break
-            if shots.size < m:  # the probe pass is never the sweep
-                continue
             end, start = (np.stack((y[0], inv(y[1])))  # u and u' on both sides of each seam
                           for y in (fine[c, :, :-1], fine[0, :, 1:]))
             if (np.abs(end - start) <= SEAM_TOL * np.maximum(1.0, np.abs(start))).all():
@@ -606,13 +594,13 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     `_refine_batched` stopped once the bracket is under LOCATE_WIDTH
     max(1, |k|), at the bracket's interpolated root estimate; these sweeps
     are `shoot_ivp`'s.  Then one near sweep on the problem's grid,
-    `_shoot_parareal`, shoots k and NEAR_SHOTS - 1 = 30 points evenly spaced
-    out to NEAR_REACH max(1, |k|) on both sides of it, so a root within that
-    reach is bracketed by two shots 2 NEAR_REACH max(1, |k|) / 30 apart,
-    however well k was located.  The solution is its first
-    shot that matches exactly, else its first two adjacent shots whose
-    finite mismatches change sign, u and u' interpolated linearly in k at
-    the zero of the mismatch's chord, else a shot that matches to rounding.
+    `_shoot_parareal`, shoots k and k -+ NEAR_REACH max(1, |k|), so a root
+    within that reach is bracketed however well k was located.  Its root is
+    its first shot that matches exactly, else the zero of the inverse
+    interpolant through its finite mismatches, clamped into their first
+    sign change, else a shot that matches to rounding.  The solution is the
+    `_lagrange` interpolant of the live shots' u and u' at that root:
+    quadratic, linear when one shot died, and a shot itself at its k.
     `residuals.c1` is the matching defect of that interpolant.  The first
     grid on which neither step raises NoRoot gives the solution; the
     problem's grid's NoRoot propagates.
@@ -636,13 +624,16 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         return end - ks
 
     def interpolate(fn, ks, vals, i):
-        """The near sweep's first exact zero, else the zero of the chord over
-        its first sign change [ks[i], ks[i + 1]]: evaluates nothing."""
+        """The near sweep's first exact zero, else the inverse interpolant's
+        zero clamped into its first sign change [ks[i], ks[i + 1]] (ks[i] if
+        NaN, as where two mismatches coincide): evaluates nothing."""
         zero = np.flatnonzero(vals == 0.0)
         if zero.size:
             return float(ks[zero[0]])
-        w = vals[i] / (vals[i] - vals[i + 1])
-        return min(ks[i] + w * (ks[i + 1] - ks[i]), ks[i + 1])  # no rounding past it
+        live = np.isfinite(vals)
+        with np.errstate(all="ignore"):
+            x = ks[i] + float(_lagrange(vals[live], 0.0) @ (ks[live] - ks[i]))
+        return float(max(ks[i], min(x, ks[i + 1])))
 
     def locate(fn, ks, vals, i):
         return _refine_batched(fn, ks, vals, i, width=LOCATE_WIDTH)
@@ -660,13 +651,10 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
             if on is spec:
                 exc.iterations = sweeps
                 raise
-    # k_root lies in [ks[hi - 1], ks[hi]] of the near sweep, or equals ks[hi]
     ks, us, vs = swept
-    hi = int(np.searchsorted(ks, k_root))
-    lo = hi if ks[hi] == k_root else hi - 1
-    w = 0.0 if lo == hi else (k_root - ks[lo]) / (ks[hi] - ks[lo])
-    values, derivs = (x[0] + w * (x[1] - x[0])
-                      for x in (us[[lo, hi]], phi.inverse(vs[[lo, hi]])))
+    live = ~np.isnan(us[:, 0])
+    w = _lagrange(ks[live], k_root)
+    values, derivs = (w @ x for x in (us[live], phi.inverse(vs[live])))
     u = GridFunction(spec.grid, values, derivs)
     end = values[other] if bc is BoundaryCondition.P2 else derivs[other]
     rep = ResidualReport(abs(float(end) - k_root), bc_defects(bc, u))

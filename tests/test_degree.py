@@ -37,6 +37,10 @@ def test_domain_validation():
         DomainDelta(1.0, 1.0, curvature())  # kappa must stay below a
     with pytest.raises(PreconditionViolated):
         boundary_polygon(circle_domain(), 32)
+    # a float count, even of integral value, is refused as a count below 64 is
+    for m in (512.0, np.float64(512.0), 100.5):
+        with pytest.raises(PreconditionViolated, match="must be an integer >= 64"):
+            boundary_polygon(circle_domain(), m)
 
 
 def test_polygon_is_closed_and_ccw():
@@ -393,6 +397,8 @@ def test_degree_zero_when_rhs_is_constant_one():
                        BoundaryCondition.P1)
     res = degree_for_problem(spec, rho=1.0, kappa=0.9, m=256)
     assert res.degree == 0  # first component is identically -1: no zero
+    with pytest.raises(PreconditionViolated, match="got 512.0"):
+        degree_for_problem(spec, rho=1.0, kappa=0.9, m=512.0)
 
 
 def test_p2_has_no_plane_reduction():

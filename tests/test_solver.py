@@ -1,5 +1,6 @@
 """Both solution routes, their failure modes, and the cross-check."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,8 +17,8 @@ from tribvp import (BoundaryCondition, Grid, HypothesisFailed, NoConvergence,
 
 from tribvp.operators import _bracket_root
 from tribvp.problem_file import load_problem, loads
-from tribvp.solver import (NEAR_REACH, NEAR_SHOTS, SWEEP_SHOTS, _refine_batched,
-                           _shoot_parareal, _sweep_around)
+from tribvp.solver import (NEAR_REACH, NEAR_SHOTS, SWEEP_SHOTS, _lagrange,
+                           _refine_batched, _shoot_parareal, _sweep_around)
 
 from test_acceptance import _admissible_template
 from test_operators import RefinerCases, convex_expm1, steep_tanh
@@ -65,10 +66,17 @@ GENERATED = [pytest.param(bc, flux, id=f"{bc.value}-{flux}")
              for bc in BoundaryCondition for flux in FLUXES]
 
 
-def near_shots(k):
+def near_shots(k, shots=NEAR_SHOTS):
     """The near sweep's shots around a located k, as `solve_shooting` builds
-    them."""
-    return k + NEAR_REACH * max(1.0, abs(k)) * np.linspace(-1.0, 1.0, NEAR_SHOTS)
+    them, or as many evenly spaced over the same reach."""
+    return k + NEAR_REACH * max(1.0, abs(k)) * np.linspace(-1.0, 1.0, shots)
+
+
+# The accuracy tests' reference root is refined to adjacent floats from a
+# bracket of a fixed 31-point sweep over the near sweep's reach, so it does
+# not move with NEAR_SHOTS: where the mismatch is rounding noise near the
+# root, brackets from other sweeps end on other adjacent-float roots.
+REFERENCE_SHOTS = 31
 
 
 def generated(bc, flux, seed, n=400):
@@ -91,6 +99,16 @@ def test_options_validation():
         SolveOptions(backend="newton")
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
+    # an infinite tol would let every stage converge on its first map
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolveOptions(tol=tol)
+    # a float budget, even of integral value, is refused as Grid refuses one
+    for budget in (2.5, np.float64(3.0)):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            SolveOptions(max_iters=budget)
+    budget = SolveOptions(max_iters=np.int64(3)).max_iters
+    assert budget == 3 and type(budget) is int
 
 
 class TestFixedPoint:
@@ -610,8 +628,8 @@ class TestShooting:
 
     @pytest.mark.parametrize("bc,flux", GENERATED)
     def test_interpolant_matches_the_shot_at_the_adjacent_float_root(self, bc, flux):
-        """The near sweep's bracket refined to adjacent floats, and one shot
-        there, give the solution of the interpolated pair within 1e-13."""
+        """The reference sweep's bracket refined to adjacent floats, and one
+        shot there, give the solution of the interpolated shots within 1e-13."""
         spec = generated(bc, flux, seed=3)
         rep = solve_shooting(spec)
         mismatch = self.serial_mismatch(spec)
@@ -619,21 +637,21 @@ class TestShooting:
         coarse = solver._locate_grid(spec)
         k = solver._scan_root(lambda ks: mismatch(ks, coarse),
                               np.linspace(-3.0, 3.0, SWEEP_SHOTS), _refine_batched)
-        k_root = solver._scan_root(mismatch, near_shots(k), _refine_batched)
+        k_root = solver._scan_root(mismatch, near_shots(k, REFERENCE_SHOTS),
+                                   _refine_batched)
         assert self.c1_gap_to_the_shot(spec, rep, k_root) <= 1e-13
         assert rep.residuals.c1 <= SolveOptions().tol
 
     def test_interpolant_is_as_accurate_when_k_is_located_far_from_the_root(self):
         # a stress problem at n = 400 whose fine root lies 0.81 NEAR_REACH
-        # from the located k: the straddling pair is still 2 NEAR_REACH / 30
-        # max(1, |k|) wide, not as wide as that distance
+        # from the located k, between the near sweep's middle and outer shot
         spec = singular((0.7296541837329713, 0.5021046029010398, 0.24624430683950266,
                          0.3454410425712666, 1.0431483020830852, 0.8695627861272857),
                         "p1t", n=400)
         rep = solve_shooting(spec)
         k = rep.solution.values[spec.bc.end]
-        k_root = tribvp.solver._scan_root(self.serial_mismatch(spec), near_shots(k),
-                                          _refine_batched)
+        k_root = tribvp.solver._scan_root(self.serial_mismatch(spec),
+                                          near_shots(k, REFERENCE_SHOTS), _refine_batched)
         assert self.c1_gap_to_the_shot(spec, rep, k_root) <= 1e-11
 
     # the fine root lies beyond the near sweep's reach of the coarse one, so
@@ -666,6 +684,34 @@ class TestShooting:
         monkeypatch.setattr(tribvp.solver, "_coarse", lambda spec: None)
         alone = solve_shooting(spec).solution.values[spec.bc.end]
         assert abs(rep.solution.values[spec.bc.end] - alone) <= 1e-12
+
+    def test_a_dead_outer_shot_leaves_the_chord_of_the_live_pair(self, monkeypatch):
+        # the near sweep's outer shot on the far side of the middle one from
+        # the root dies (a NaN row): the root and the solution are those of
+        # the chord through the live pair
+        spec = generated(BoundaryCondition.P1, "curvature", seed=1)
+        k_root = solve_shooting(spec).solution.values[0]  # p1: u(0) = k
+        near = []
+
+        def dying(on, ks, *args, **kwargs):
+            us, vs = _shoot_parareal(on, ks, *args, **kwargs)
+            near.append((ks, us.copy(), vs.copy()))
+            dead = 0 if k_root > ks[1] else -1
+            us[dead] = vs[dead] = np.nan
+            return us, vs
+        monkeypatch.setattr(tribvp.solver, "_shoot_parareal", dying)
+        rep = solve_shooting(spec)
+        (ks, us, vs), = near
+        pair = [1, 2] if k_root > ks[1] else [0, 1]
+        ks, us, derivs = ks[pair], us[pair], spec.phi.inverse(vs[pair])
+        m = derivs[:, -1] - ks  # p1 matches u'(T) = k
+        root = ks[0] - m[0] * (ks[1] - ks[0]) / (m[1] - m[0])
+        w = (root - ks[0]) / (ks[1] - ks[0])
+        assert 0.0 < w < 1.0
+        assert abs(rep.solution.values[0] - root) <= 1e-15
+        for got, x in ((rep.solution.values, us), (rep.solution.derivs, derivs)):
+            assert np.abs(got - (x[0] + w * (x[1] - x[0]))).max() <= 1e-15
+        assert rep.residuals.c1 <= SolveOptions().tol
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.P1, BoundaryCondition.P1T],
                              ids=["p1", "p1t"])
@@ -872,16 +918,15 @@ class TestParareal:
         return np.shape(u) if np.ndim(t) == 2 else None
 
     @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
-    def test_first_pass_runs_f_on_three_probe_shots(self, bc):
-        # n = 400: c = 20 steps on S = 20 segments; in a solve, the first F
-        # pass shoots the sweep's first, middle and last shot, every later
-        # one all NEAR_SHOTS
+    def test_every_pass_runs_f_on_every_shot(self, bc):
+        # n = 400: c = 20 steps on S = 20 segments; in a solve, every F pass
+        # shoots all NEAR_SHOTS shots of the near sweep, and the first pass
+        # is not the sweep on these problems
         counted, shapes = self.counting(generated(bc, "curvature", seed=1), self.f_shots)
         solve_shooting(counted)
         shapes = [shape for shape in shapes if shape]
-        assert shapes[:80] == [(20, 3)] * 80
-        assert shapes[80:] == [(20, NEAR_SHOTS)] * (len(shapes) - 80)
-        assert len(shapes) >= 160
+        assert shapes == [(20, NEAR_SHOTS)] * len(shapes)
+        assert len(shapes) >= 160 and len(shapes) % 80 == 0
 
     @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
     def test_near_sweep_shoots_evenly_spaced_shots_around_k(self, bc, monkeypatch):
@@ -901,16 +946,16 @@ class TestParareal:
         assert ks[0] == k - reach and ks[-1] == k + reach
         assert np.allclose(np.diff(ks), 2.0 * reach / (NEAR_SHOTS - 1), rtol=1e-7, atol=0.0)
 
-    def test_the_probe_pass_is_never_the_sweep(self, monkeypatch):
+    def test_a_first_pass_whose_seams_close_is_the_sweep(self, monkeypatch):
         # f == 0: v is constant and u linear, so G is exact to rounding and
-        # every seam closes on the first pass, which shot the probes alone;
-        # the sweep is the second pass, over every shot
+        # every seam closes on the first pass, which is the sweep: one F pass
+        # of c = 10 steps over every shot
         spec = ProblemSpec(Grid(1.0, 100), curvature(),
                            RightHandSide(fn=lambda t, u, v: 0.0 * t), BoundaryCondition.P1)
         ks = near_shots(0.3)
         got, shapes = self.parareal(spec, ks, False, monkeypatch, self.f_shots)
         shapes = [shape for shape in shapes if shape]
-        assert shapes == [(10, 3)] * 40 + [(10, NEAR_SHOTS)] * 40
+        assert shapes == [(10, NEAR_SHOTS)] * 40
         assert got[0].shape == (NEAR_SHOTS, 101)
         assert self.c1_gap(spec, got, shoot_ivp(spec, ks, ks)) <= 1e-13
 
@@ -982,13 +1027,33 @@ class TestParareal:
             got = _shoot_parareal(counted, ks, ks, backward=backward)
             want = shoot_ivp(spec, ks, ks, backward=backward)
             assert (dims == [0] * (4 * n)) is serial
-            # shots too far apart for the probes' quadratic in k still give
-            # the serial sweep: within 1e-13, or bit for bit after a fallback
+            # shots spread over [-0.5, 0.5] still give the serial sweep:
+            # within 1e-13, or bit for bit after a fallback
             if serial or dims[-1] == 0:
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
             else:
                 assert self.c1_gap(spec, got, want) <= 1e-13
+
+
+class TestLagrange:
+    # the near sweep's shots, mismatch-like values of both signs, and
+    # unevenly spaced nodes
+    NODES = [near_shots(0.3), near_shots(-2.5), np.array([2e-9, -1e-9, -4e-9]),
+             np.array([-1.0, 0.25, 3.0, 7.5])]
+
+    @pytest.mark.parametrize("nodes", NODES, ids=["near", "near-negative", "mismatches",
+                                                  "four"])
+    def test_exactly_one_hot_at_each_node(self, nodes):
+        for j, x in enumerate(nodes):
+            assert np.array_equal(_lagrange(nodes, x), np.eye(nodes.size)[j])
+
+    def test_exact_on_a_quadratic(self):
+        # small dyadic nodes and points: every operation is exact
+        nodes = np.array([0.0, 1.0, 2.0])
+        q = lambda x: 3.0 * x * x - 2.0 * x + 0.5
+        for at in (0.25, 0.5, 1.75, -0.5, 3.0):
+            assert _lagrange(nodes, at) @ q(nodes) == q(at)
 
 
 class TestRefineBatched(RefinerCases):
