@@ -19,7 +19,7 @@ from .expressions import as_callable, evaluate, parse, to_source
 from .grid import Grid, GridFunction, norm_c1, norm_sup
 from .homeomorphisms import Homeomorphism, by_name, curvature, scaled_atan
 from .hypotheses import (ConditionVerdict, HypothesisData, HypothesisReport,
-                         SamplingBox, Verdict, check_bound_p2, check_problem,
+                         Verdict, check_bound_p2, check_problem,
                          check_sign_condition, compute_bounds_p1)
 from .operators import (BoundaryCondition, ProblemSpec, ResidualReport,
                         RightHandSide, affine_mean, balancing_shift,
@@ -39,7 +39,7 @@ __all__ = [
     "mean_value", "balancing_shift", "fixed_point_map", "residual",
     "PlanarMap", "DomainDelta", "DegreeResult", "reduction_map",
     "boundary_polygon", "winding_degree", "degree_for_problem",
-    "Verdict", "ConditionVerdict", "SamplingBox", "HypothesisData",
+    "Verdict", "ConditionVerdict", "HypothesisData",
     "HypothesisReport", "check_problem", "check_sign_condition",
     "compute_bounds_p1", "check_bound_p2",
     "SolveOptions", "SolveReport", "solve", "solve_fixed_point",

@@ -24,7 +24,7 @@ import numpy as np
 from .degree import degree_for_problem
 from .errors import (BvpError, EmptyDomain, HypothesisFailed,
                      PreconditionViolated, ProblemFileError)
-from .hypotheses import SamplingBox, check_problem
+from .hypotheses import check_problem
 from .operators import nemytskii
 from .problem_file import load_problem
 from .solver import solve
@@ -182,8 +182,7 @@ def _csv_table(spec, u) -> str:
 
 def _run_check(args) -> int:
     doc = load_problem(args.file)
-    box = SamplingBox(seed=args.seed)
-    report = check_problem(doc.spec, doc.hypothesis_data, box)
+    report = check_problem(doc.spec, doc.hypothesis_data, args.seed)
     for name, verdict in report.verdicts.items():
         line = f"{name}: {verdict.status.value} - {verdict.detail}"
         if verdict.counterexample is not None:

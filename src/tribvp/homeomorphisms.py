@@ -72,7 +72,7 @@ def scaled_atan(a: float = 1.0) -> Homeomorphism:
     if not (np.isfinite(a) and a > 0.0):
         raise ValueError(f"range half-width must be positive, got {a!r}")
     a = float(a)
-    c = 2.0 * a / np.pi
+    c = a / (0.5 * np.pi)  # 2 a / pi, finite for every finite a
     return Homeomorphism(
         name="atan",
         a=a,

@@ -19,19 +19,24 @@ For p2 the hypothesis is a global bound |f| <= c with c < a / (2 T).
 Either case bounds the flux of a solution, |phi(u')| <= l < a, and with it
 the slope by r and the solution norm by r * (2 + T); see `HypothesisReport`.
 
-Sampled conditions probe f at points i = 1..N of the R_3 Kronecker sequence
+Sampled conditions probe f at N = SAMPLES = 100,000 points per probe, with t
+in [0, T] and x in [-X_HALFWIDTH, X_HALFWIDTH] = [-10, 10]; y runs over a
+slab Y_SPAN = 10 wide beyond each threshold (sign condition), over
+[min(0, M1) - 10, max(0, M2) + 10] (envelope) or over [-10, 10] (p2 bound).
+The points are i = 1..N of the R_3 Kronecker sequence
 (shift + i * (g^-1, g^-2, g^-3)) mod 1, g the real root of x^4 = x + 1, mapped
-affinely onto the box; the Cranley-Patterson shift is drawn from the box seed,
-as numpy's default_rng would draw it but without importing numpy.random.
+affinely onto that box; the Cranley-Patterson shift is drawn from the seed,
+the checker's one setting, as numpy's default_rng would draw it but without
+importing numpy.random.
 A probe walks the points in blocks of `operators.BLOCK`, building each block
 one contiguous coordinate at a time (a float `%` over the strided (N, 3)
 layout took two thirds of a probe) and calling f once per block, so that no
 temporary is large enough to be mapped and page-faulted afresh.  Each check
 folds its verdict over the blocks in order and gets the verdict and
 counterexample of one pass over all N points: the first non-finite value or
-envelope dip ends the probe at its block, while the least |f| of a sign
-failure and the largest |f| of the p2 bound are the first such over all
-blocks.
+envelope dip ends the probe at its block, a slab's sign is read off its least
+and largest f, and the least |f| of a sign failure and the largest |f| of the
+p2 bound are the first such over all blocks.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .grid import integer_at_least
 from .operators import BLOCK, BoundaryCondition, ProblemSpec, mean_value
 
 __all__ = [
-    "Verdict", "ConditionVerdict", "SamplingBox", "HypothesisData",
+    "Verdict", "ConditionVerdict", "HypothesisData",
     "HypothesisReport", "check_sign_condition", "compute_bounds_p1",
     "check_bound_p2", "check_problem",
 ]
@@ -70,24 +75,6 @@ class ConditionVerdict:
     @property
     def ok(self) -> bool:
         return self.status is not Verdict.FAIL
-
-
-@dataclass(frozen=True)
-class SamplingBox:
-    """Where f gets probed: t in [0, T] always, x and y in finite boxes."""
-
-    x_halfwidth: float = 10.0
-    y_span: float = 10.0
-    samples: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", integer_at_least("samples", self.samples, 1))
-        for name in ("x_halfwidth", "y_span"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        object.__setattr__(self, "seed", integer_at_least("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -135,6 +122,10 @@ class HypothesisReport:
     def passed(self) -> bool:
         return bool(self.verdicts) and all(v.ok for v in self.verdicts.values())
 
+
+SAMPLES = 100_000   # points per probe
+X_HALFWIDTH = 10.0  # x in [-X_HALFWIDTH, X_HALFWIDTH]
+Y_SPAN = 10.0       # width of the slope slab beyond each threshold
 
 _R3_ALPHA = 1.2207440846057596 ** -np.arange(1.0, 4.0)  # root of x^4 = x + 1
 
@@ -196,16 +187,16 @@ def _quasi_random(shift: Sequence[float], start: int, stop: int) -> list[np.ndar
     return cols
 
 
-def _probe(spec: ProblemSpec, box: SamplingBox, y_lo: float, y_hi: float,
+def _probe(spec: ProblemSpec, seed: int, y_lo: float, y_hi: float,
            seed_shift: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """The box's samples in order, as blocks (t, x, y, f) of at most BLOCK
+    """The SAMPLES points in order, as blocks (t, x, y, f) of at most BLOCK
     points: block k holds points k BLOCK + 1..(k + 1) BLOCK of the sequence,
-    with the shift drawn from box.seed + seed_shift, and y in [y_lo, y_hi)."""
-    shift = _pcg64_uniforms(box.seed + seed_shift, 3)
-    for start in range(0, box.samples, BLOCK):
-        t, x, y = _quasi_random(shift, start, min(start + BLOCK, box.samples))
+    with the shift drawn from seed + seed_shift, and y in [y_lo, y_hi)."""
+    shift = _pcg64_uniforms(integer_at_least("seed", seed, 0) + seed_shift, 3)
+    for start in range(0, SAMPLES, BLOCK):
+        t, x, y = _quasi_random(shift, start, min(start + BLOCK, SAMPLES))
         t *= spec.grid.T
-        x = (2.0 * x - 1.0) * box.x_halfwidth
+        x = (2.0 * x - 1.0) * X_HALFWIDTH
         y = y_lo + y * (y_hi - y_lo)
         yield t, x, y, spec.rhs(t, x, y)
 
@@ -215,17 +206,8 @@ def _point(t: np.ndarray, x: np.ndarray, y: np.ndarray, j: int) -> tuple:
     return float(t[j]), float(x[j]), float(y[j])
 
 
-def _strict_sign(f: np.ndarray) -> int:
-    """+1 / -1 when every entry has that strict sign, else 0."""
-    if np.all(f > 0.0):
-        return 1
-    if np.all(f < 0.0):
-        return -1
-    return 0
-
-
 def check_sign_condition(spec: ProblemSpec, m1: float, m2: float,
-                         box: SamplingBox = SamplingBox()) -> ConditionVerdict:
+                         seed: int = 0) -> ConditionVerdict:
     """Sampled check that f has opposite strict signs beyond the thresholds.
 
     A counterexample here only disproves the pointwise form; an f that
@@ -234,31 +216,30 @@ def check_sign_condition(spec: ProblemSpec, m1: float, m2: float,
     """
     if not m1 < m2:
         raise InvalidThresholds(f"need M1 < M2, got M1={m1!r} M2={m2!r}")
-    total = 2 * box.samples
-    signs = []
-    for name, y_lo, y_hi, seed_shift in (("y >= M2", m2, m2 + box.y_span, 1),
-                                         ("y <= M1", m1 - box.y_span, m1, 2)):
-        sign, least, where = None, math.inf, None
-        for t, x, y, f in _probe(spec, box, y_lo, y_hi, seed_shift):
+    total = 2 * SAMPLES
+    positive = []
+    for name, y_lo, y_hi, seed_shift in (("y >= M2", m2, m2 + Y_SPAN, 1),
+                                         ("y <= M1", m1 - Y_SPAN, m1, 2)):
+        lo, hi, least, where = math.inf, -math.inf, math.inf, None
+        for t, x, y, f in _probe(spec, seed, y_lo, y_hi, seed_shift):
             finite = np.isfinite(f)
             if not finite.all():  # the slab's first: every earlier block was finite
                 return ConditionVerdict(
                     Verdict.FAIL, f"f not finite on {name}", total,
                     _point(t, x, y, int(np.argmin(finite))))
-            block_sign = _strict_sign(f)
-            sign = block_sign if sign in (None, block_sign) else 0
+            lo, hi = min(lo, f.min()), max(hi, f.max())
             a = np.abs(f)
             j = int(np.argmin(a))
             if a[j] < least:  # strictly: the slab's first least |f|
                 least, where = float(a[j]), _point(t, x, y, j)
-        if sign == 0:
+        if not (lo > 0.0 or hi < 0.0):
             return ConditionVerdict(
                 Verdict.FAIL,
                 f"no strict constant sign on {name} (pointwise condition "
                 "violated; the integral form remains undetermined)",
                 total, where)
-        signs.append(sign)
-    if signs[0] == signs[1]:
+        positive.append(lo > 0.0)
+    if positive[0] == positive[1]:
         return ConditionVerdict(
             Verdict.FAIL,
             "same strict sign on both slope ranges; opposite signs required",
@@ -281,19 +262,24 @@ def _apriori_bound(spec: ProblemSpec, ell: float) -> tuple[float | None, float |
 
 def compute_bounds_p1(spec: ProblemSpec, m1: float, m2: float,
                       c_lower: Callable | float,
-                      box: SamplingBox = SamplingBox()) -> HypothesisReport:
+                      seed: int = 0) -> HypothesisReport:
     """Envelope check plus the a priori constants for the p1/p1t case."""
     if not m1 < m2:
         raise InvalidThresholds(f"need M1 < M2, got M1={m1!r} M2={m2!r}")
     if c_lower is None:
         raise HypothesisFailed("insufficient data: a lower envelope c(t) is required")
     grid = spec.grid
-    c_fn = c_lower if callable(c_lower) else (lambda t, c=float(c_lower): np.full(np.shape(t), c))
+
+    def envelope(t: np.ndarray) -> np.ndarray:
+        """c(t) as floats of t's shape, inf or NaN where c cannot evaluate."""
+        with np.errstate(all="ignore"):
+            c = c_lower(t) if callable(c_lower) else c_lower
+            return np.broadcast_to(np.asarray(c, dtype=float), t.shape)
 
     verdicts: dict[str, ConditionVerdict] = {}
-    for t, x, y, f in _probe(spec, box, -box.y_span + min(0.0, m1),
-                             box.y_span + max(0.0, m2), seed_shift=3):
-        c_at = np.broadcast_to(np.asarray(c_fn(t), dtype=float), t.shape)
+    for t, x, y, f in _probe(spec, seed, -Y_SPAN + min(0.0, m1),
+                             Y_SPAN + max(0.0, m2), seed_shift=3):
+        c_at = envelope(t)
         bad = ~(f >= c_at)  # a NaN in f or c(t) fails too
         if bad.any():  # the slab's first dip: every earlier block passed
             j = int(np.argmax(bad))
@@ -302,16 +288,13 @@ def compute_bounds_p1(spec: ProblemSpec, m1: float, m2: float,
                 Verdict.FAIL,
                 f"f = {f[j]:.6g} dips below c = {c_at[j]:.6g}" if finite else
                 f"f or c(t) not finite: f = {f[j]:.6g}, c = {c_at[j]:.6g}",
-                box.samples, _point(t, x, y, j))
+                SAMPLES, _point(t, x, y, j))
             break
     else:
         verdicts["envelope"] = ConditionVerdict(
-            Verdict.SAMPLED_ONLY,
-            f"f >= c(t) on {box.samples} samples", box.samples)
+            Verdict.SAMPLED_ONLY, f"f >= c(t) on {SAMPLES} samples", SAMPLES)
 
-    c_nodes = np.broadcast_to(np.asarray(c_fn(grid.nodes), dtype=float),
-                              grid.nodes.shape).astype(float)
-    c_minus_l1 = grid.T * mean_value(grid, np.maximum(-c_nodes, 0.0))
+    c_minus_l1 = grid.T * mean_value(grid, np.maximum(-envelope(grid.nodes), 0.0))
     phi = spec.phi
     L = max(abs(phi.forward(m2)), abs(phi.forward(m1)))
     ell = L + 2.0 * c_minus_l1
@@ -331,7 +314,7 @@ def compute_bounds_p1(spec: ProblemSpec, m1: float, m2: float,
 
 
 def check_bound_p2(spec: ProblemSpec, c_bound: float | None = None,
-                   box: SamplingBox = SamplingBox()) -> HypothesisReport:
+                   seed: int = 0) -> HypothesisReport:
     """Bound check c < a / (2T) for the p2 case.
 
     With a user-asserted global bound the comparison is certified (and the
@@ -342,11 +325,11 @@ def check_bound_p2(spec: ProblemSpec, c_bound: float | None = None,
     limit = spec.phi.a / (2.0 * grid.T)
     verdicts: dict[str, ConditionVerdict] = {}
     emp_max, where = -math.inf, None
-    for t, x, y, f in _probe(spec, box, -box.y_span, box.y_span, seed_shift=4):
+    for t, x, y, f in _probe(spec, seed, -Y_SPAN, Y_SPAN, seed_shift=4):
         finite = np.isfinite(f)
         if not finite.all():  # the box's first: every earlier block was finite
             verdicts["bound"] = ConditionVerdict(
-                Verdict.FAIL, "f not finite on the sampling box", box.samples,
+                Verdict.FAIL, "f not finite on the sampling box", SAMPLES,
                 _point(t, x, y, int(np.argmin(finite))))
             return HypothesisReport(bc_case=spec.bc, verdicts=verdicts, c_bound=c_bound)
         a = np.abs(f)
@@ -364,19 +347,19 @@ def check_bound_p2(spec: ProblemSpec, c_bound: float | None = None,
             verdicts["bound_consistency"] = ConditionVerdict(
                 Verdict.FAIL,
                 f"sampled |f| reached {emp_max:.6g}, above the asserted bound",
-                box.samples, where)
+                SAMPLES, where)
         else:
             verdicts["bound_consistency"] = ConditionVerdict(
                 Verdict.SAMPLED_ONLY,
                 f"max sampled |f| = {emp_max:.6g} within the asserted bound",
-                box.samples)
+                SAMPLES)
     else:
         c_eff = emp_max
         status = Verdict.SAMPLED_ONLY if c_eff < limit else Verdict.FAIL
         verdicts["bound"] = ConditionVerdict(
             status,
             f"max sampled |f| = {c_eff:.10g} vs limit {limit:.10g}",
-            box.samples)
+            SAMPLES)
 
     r, solution_bound = _apriori_bound(spec, 2.0 * c_eff * grid.T)
     return HypothesisReport(
@@ -385,20 +368,17 @@ def check_bound_p2(spec: ProblemSpec, c_bound: float | None = None,
 
 
 def check_problem(spec: ProblemSpec, data: HypothesisData,
-                  box: SamplingBox = SamplingBox()) -> HypothesisReport:
+                  seed: int = 0) -> HypothesisReport:
     """Full hypothesis report for a problem, dispatching on its boundary case."""
     if spec.bc is BoundaryCondition.P2:
-        report = check_bound_p2(spec, data.c_bound, box)
-    else:
-        if data.m1 is None or data.m2 is None or data.c_lower is None:
-            raise HypothesisFailed(
-                "insufficient data: the slope-anchored cases need M1, M2 and "
-                "a lower envelope c(t)")
-        report = compute_bounds_p1(spec, data.m1, data.m2, data.c_lower, box)
-        sign = check_sign_condition(spec, data.m1, data.m2, box)
-        report = replace(report, verdicts={"sign": sign, **report.verdicts})
-
-    verdicts = dict(report.verdicts)
+        return check_bound_p2(spec, data.c_bound, seed)
+    if data.m1 is None or data.m2 is None or data.c_lower is None:
+        raise HypothesisFailed(
+            "insufficient data: the slope-anchored cases need M1, M2 and "
+            "a lower envelope c(t)")
+    report = compute_bounds_p1(spec, data.m1, data.m2, data.c_lower, seed)
+    verdicts = {"sign": check_sign_condition(spec, data.m1, data.m2, seed),
+                **report.verdicts}
     if data.kappa is not None and report.kappa_range is not None:
         lo, hi = report.kappa_range
         ok = lo < data.kappa < hi

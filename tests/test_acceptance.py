@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tribvp.hypotheses
 from tribvp import (
     BoundaryCondition,
     DomainDelta,
@@ -22,7 +23,6 @@ from tribvp import (
     PlanarMap,
     ProblemSpec,
     RightHandSide,
-    SamplingBox,
     SolveOptions,
     balancing_shift,
     boundary_polygon,
@@ -248,20 +248,20 @@ def test_criterion_6_grid_convergence():
         print(f"  {pairs}; fitted order {order:.2f}")
 
 
-def test_criterion_7_a_priori_bound():
+def test_criterion_7_a_priori_bound(monkeypatch):
+    monkeypatch.setattr(tribvp.hypotheses, "SAMPLES", 20_000)
     with criterion(7, "20 random admissible p1 problems: ||u||_C1 < r(2+T)"):
         rng = np.random.default_rng(7)
         slack_worst = 0.0
         for trial in range(20):
             spec, m1, m2, c_lower = _admissible_template(rng, BoundaryCondition.P1)
-            box = SamplingBox(samples=20_000, seed=trial)
-            bounds = compute_bounds_p1(spec, m1, m2, c_lower, box)
+            bounds = compute_bounds_p1(spec, m1, m2, c_lower, seed=trial)
             assert bounds.r is not None
             lo, hi = bounds.kappa_range
             data = HypothesisData(
                 m1=m1, m2=m2, c_lower=c_lower,
                 kappa=0.5 * (lo + hi), rho=1.05 * bounds.rho_min)
-            report = check_problem(spec, data, box)
+            report = check_problem(spec, data, seed=trial)
             assert report.passed
             rep = solve(spec, SolveOptions(tol=1e-10))
             size = norm_c1(rep.solution)

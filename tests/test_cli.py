@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,9 +11,12 @@ from tribvp import cli
 from tribvp.cli import main
 from tribvp.errors import BvpError
 
-PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
+ROOT = Path(__file__).resolve().parents[1]
+PROBLEMS = ROOT / "demos" / "problems"
 STEEP = str(PROBLEMS / "steep_slope.prob")
 BOUNDED = str(PROBLEMS / "bounded_forcing.prob")
+POLE_ENVELOPE = ("[problem]\nT = 0.01\nf = exp(4*v) - e\nbc = p1\n"
+                 "[hypotheses]\nM1 = 0\nM2 = 0.5\nc_lower = 1/t\n")
 MISORDERED = ("[problem]\nT = 0.01\nf = exp(4*v) - e\nbc = p1\n"
               "[hypotheses]\nM1 = 1\nM2 = 0\nc_lower = -3\n")
 
@@ -61,6 +67,14 @@ class TestSolve:
         assert main(["solve", path]) == 0
         body = rows_of(capsys.readouterr().out)[1:]
         assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in body)
+
+    def test_atan_flux_at_the_largest_floats_has_no_nan(self, tmp_path, capsys):
+        path = write(tmp_path, "[problem]\nT = 1\nn = 50\nphi = atan\n"
+                               "a = 1e308\nf = 0.4 * cos(u)\nbc = p2\n")
+        assert main(["solve", path]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        assert len(rows_of(out)) == 52
 
     def test_range_violation_exit_2(self, tmp_path, capsys):
         path = write(tmp_path,
@@ -223,6 +237,14 @@ class TestCheck:
                      "bc = p1\n[hypotheses]\nM1 = -1\nM2 = 1\nc_lower = -2\n")
         assert main(["check", path]) == 1
         assert "envelope: fail - f or c(t) not finite: f = nan" in capsys.readouterr().out
+
+    def test_envelope_with_a_pole_at_t_0_warns_nothing(self, tmp_path, capsys):
+        # c(0) = inf: the grid node t = 0 divides by zero
+        assert main(["check", write(tmp_path, POLE_ENVELOPE)]) == 1
+        captured = capsys.readouterr()
+        assert "envelope: fail - f = -2.71827 dips below c = 110.519" in captured.out
+        assert "||c-||_1=0\n" in captured.out
+        assert captured.err == ""
 
     def test_constant_division_by_zero_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "[problem]\nT = 1\nf = u + 1/(2-2)\nbc = p2\n")
@@ -432,3 +454,35 @@ def test_unlisted_error_gets_the_failure_code(monkeypatch, capsys, argv,
     monkeypatch.setattr(cli, target, fail)
     assert main(argv) == code
     assert "unlisted failure" in getattr(capsys.readouterr(), stream)
+
+
+class TestEntryPoint:
+    """`python -m tribvp` in a fresh process with every warning an error."""
+
+    @staticmethod
+    def run(*argv):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        return subprocess.run([sys.executable, "-W", "error", "-m", "tribvp", *argv],
+                              capture_output=True, text=True, cwd=ROOT, env=env,
+                              timeout=120)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", STEEP],
+        ["check", STEEP],
+        ["degree", STEEP, "--rho", "1.2", "--kappa", "0.9"],
+    ], ids=["solve", "check", "degree"])
+    def test_demo_exits_0_with_empty_stderr(self, argv):
+        proc = self.run(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout
+
+    def test_envelope_with_a_pole_exits_1_with_empty_stderr(self, tmp_path):
+        proc = self.run("check", write(tmp_path, POLE_ENVELOPE))
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert "envelope: fail" in proc.stdout
+
+    def test_missing_file_exits_4(self, tmp_path):
+        proc = self.run("check", str(tmp_path / "absent.prob"))
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""

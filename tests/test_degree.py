@@ -263,6 +263,16 @@ def test_winding_rejects_open_polyline():
         winding_degree(gm, pts)
 
 
+@pytest.mark.parametrize("pts", [
+    np.zeros(8),                                      # not (N, 2)
+    np.zeros((5, 3)),                                 # points of 3 coordinates
+    np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),   # closed, but N = 3 < 4
+], ids=["flat", "3-column", "too-few"])
+def test_winding_rejects_a_boundary_of_the_wrong_shape(pts):
+    with pytest.raises(ValueError, match=r"boundary must be an \(N, 2\) array"):
+        winding_degree(PlanarMap(lambda x, y: (x, y)), pts)
+
+
 def test_nonfinite_map_rejected():
     gm = PlanarMap(lambda x, y: (float("nan"), 0.0))
     with pytest.raises(NonFinite):

@@ -256,6 +256,13 @@ def test_nesting_at_150_still_compiles(construct):
     assert np.isfinite(as_callable(tree)(0.0, 0.5, 0.0))
 
 
+def test_hand_built_negative_literal_prints_evaluable_source():
+    # a parse never yields a negative Num; to_source still parenthesizes one
+    assert to_source(Num(-1.5)) == "(-1.5)"
+    assert to_source(Binary("^", Num(-1.5), Num(2.0))) == "(-1.5) ^ 2"
+    assert evaluate(parse(to_source(Num(-1.5))), 0.0, 0.0, 0.0) == -1.5
+
+
 def test_division_of_constants_by_zero_is_inf():
     fn = as_callable(parse("u + 1/(2-2)"))
     with np.errstate(all="ignore"):

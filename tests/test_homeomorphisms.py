@@ -22,6 +22,22 @@ def test_scaled_atan_range():
     assert phi.inverse(1.0) == pytest.approx(math.tan(math.pi / 4), abs=1e-12)
 
 
+def test_scaled_atan_at_the_largest_floats():
+    # 2 a / pi overflows for a > 8.99e307; a / (pi / 2) is finite for every a
+    for a in (1e308, np.finfo(float).max):
+        phi = scaled_atan(a)
+        assert phi.forward(0.0) == 0.0
+        assert phi.forward(1.0) == pytest.approx(0.5 * a, rel=1e-15)
+        assert phi.inverse(0.5 * a) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_scaled_atan_scale_is_unchanged_where_it_was_finite():
+    rng = np.random.default_rng(11)
+    for a in np.concatenate([10.0 ** rng.uniform(-300, 307.9, 2000),
+                             rng.uniform(0.1, 10.0, 2000)]):
+        assert scaled_atan(a).fwd_fn(1.0) == 2.0 * a / np.pi * np.arctan(1.0)
+
+
 @pytest.mark.parametrize("make", [curvature, lambda: scaled_atan(1.0),
                                   lambda: scaled_atan(0.3)])
 def test_roundtrip_random(make):

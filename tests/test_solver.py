@@ -165,6 +165,16 @@ class TestFixedPoint:
         with pytest.raises(RangeViolation):
             solve_fixed_point(spec)
 
+    def test_family_flag_is_off_when_the_perturbed_slope_leaves_fs_domain(self):
+        # the solution has slope 1/4; the flag's probe moves it to 0.26,
+        # where sqrt(0.255 - v) is NaN, so the probe is no family evidence
+        spec = ProblemSpec(Grid(0.5, 64), curvature(),
+                           RightHandSide(fn=lambda t, u, v: np.sqrt(0.255 - v) - np.sqrt(0.005)),
+                           BoundaryCondition.P1)
+        rep = solve_fixed_point(spec)
+        assert np.all(np.abs(rep.solution.derivs - 0.25) < 1e-12)
+        assert not rep.solution_family
+
     def test_zero_rhs_family_detected(self):
         spec = ProblemSpec(Grid(1.0, 64), curvature(),
                            RightHandSide(fn=lambda t, u, v: 0.0 * t),
