@@ -16,6 +16,7 @@ failures among them come from one table per subcommand, `EXIT_CODES`:
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
 
@@ -46,6 +47,10 @@ EXIT_CODES: dict[str, dict[type, int]] = {
 
 
 def entry() -> None:
+    # The imported objects live until the process ends: frozen, neither the
+    # collections during the command nor those at exit walk them.  Only here,
+    # so that in-process callers of main() keep their collector as it was.
+    gc.freeze()
     sys.exit(main(sys.argv[1:]))
 
 
@@ -172,8 +177,9 @@ def _csv_table(spec, u) -> str:
     t = spec.grid.nodes
     f_vals = nemytskii(spec, u)
     phi_du = spec.phi.forward(u.derivs)
+    columns = (t, u.values, u.derivs, np.atleast_1d(phi_du), f_vals)
     lines = [CSV_HEADER]
-    for row in zip(t, u.values, u.derivs, np.atleast_1d(phi_du), f_vals):
+    for row in zip(*(column.tolist() for column in columns)):
         lines.append(",".join(f"{value:.17g}" for value in row))
     return "\n".join(lines) + "\n"
 

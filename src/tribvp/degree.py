@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ ZERO_TOL = 1e-12
 MAX_DEPTH = 20
 
 
-@dataclass(frozen=True)
-class PlanarMap:
+class PlanarMap(NamedTuple):
     """A map R^2 -> R^2 on arrays of points: fn(xs, ys) returns (gx, gy),
     each broadcasting to the common shape of xs and ys."""
 
@@ -133,8 +132,7 @@ def boundary_polygon(delta: DomainDelta, m: int = 512) -> np.ndarray:
     return np.vstack([poly, poly[:1]])
 
 
-@dataclass(frozen=True)
-class DegreeResult:
+class DegreeResult(NamedTuple):
     degree: int
     min_boundary_norm: float
     samples_used: int

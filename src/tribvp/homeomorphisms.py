@@ -6,8 +6,7 @@ Both catalog members are odd, fix 0, and have closed-form inverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -16,8 +15,7 @@ from .errors import RangeViolation
 __all__ = ["Homeomorphism", "curvature", "scaled_atan", "by_name"]
 
 
-@dataclass(frozen=True)
-class Homeomorphism:
+class Homeomorphism(NamedTuple):
     """An increasing bijection R -> (-a, a) with an explicit inverse.
 
     inv_fn never returns a finite value for an input outside (-a, a), so a

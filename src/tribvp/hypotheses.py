@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,8 +65,7 @@ class Verdict(enum.Enum):
     SAMPLED_ONLY = "sampled-only"  # held on every sample; not a proof
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     status: Verdict
     detail: str
     samples: int = 0
@@ -77,8 +76,7 @@ class ConditionVerdict:
         return self.status is not Verdict.FAIL
 
 
-@dataclass(frozen=True)
-class HypothesisData:
+class HypothesisData(NamedTuple):
     """User-supplied hypothesis constants, all optional."""
 
     m1: float | None = None

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -300,8 +300,7 @@ def _map_p2(spec: ProblemSpec, lam: float, u: GridFunction) -> GridFunction:
     return GridFunction(grid, vals, slope)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """How far u is from solving the problem at homotopy level lam.
 
     c1           sup-gap of values plus sup-gap of derivatives to the mapped

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ExpressionSyntaxError, ProblemFileError
 from .expressions import (Binary, Call, Node, Num, Unary, Var, as_callable,
@@ -51,8 +51,7 @@ _SECTIONS = {"problem": _PROBLEM_KEYS, "hypotheses": _HYPOTHESES_KEYS,
              "solver": _SOLVER_KEYS}
 
 
-@dataclass(frozen=True)
-class ProblemDocument:
+class ProblemDocument(NamedTuple):
     spec: ProblemSpec
     options: SolveOptions
     hypothesis_data: HypothesisData

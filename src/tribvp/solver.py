@@ -50,6 +50,7 @@ import math
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +101,7 @@ class SolveOptions:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
 
 
-@dataclass(frozen=True)
-class LambdaStage:
+class LambdaStage(NamedTuple):
     """One continuation stage.  newton_calls is always 0; the field stays
     because existing readers of the report still sum it."""
 

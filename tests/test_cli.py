@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import os
 import subprocess
@@ -486,3 +487,27 @@ class TestEntryPoint:
         assert proc.returncode == 4
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+
+class TestCollectorFreeze:
+    """`entry()` freezes the imported objects out of the garbage collector;
+    `main()`, which tests and library callers run in process, does not."""
+
+    def test_the_process_entry_point_freezes(self):
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+                f"sys.argv = ['tribvp', 'degree', {STEEP!r}, '--rho', '1.2', '--kappa', '0.9']\n"
+                "runpy.run_module('tribvp', run_name='__main__')\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              capture_output=True, text=True, cwd=ROOT, env=env,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        degree, frozen = proc.stdout.splitlines()
+        assert degree.startswith("degree=-1 ")
+        label, count = frozen.split()
+        assert label == "frozen" and int(count) > 0
+
+    def test_main_leaves_the_collector_unfrozen(self, capsys):
+        assert main(["degree", STEEP, "--rho", "1.2", "--kappa", "0.9"]) == 0
+        assert gc.get_freeze_count() == 0

@@ -1,6 +1,12 @@
 """Property tests over generated text: the expression parser and the problem
 file loader either accept their input or refuse it with their own typed
-error, never anything else."""
+error, never anything else, and the command line exits with a documented
+code on any problem file."""
+
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -8,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tribvp import ExpressionSyntaxError, ProblemFileError, loads  # noqa: E402
+from tribvp.cli import main  # noqa: E402
 from tribvp.expressions import parse, to_source  # noqa: E402
 
 # deterministic: the same examples on every run, nothing stored between runs
@@ -85,3 +92,25 @@ def test_problem_file_text_loads_or_is_a_problem_file_error(text):
         loads(text)
     except ProblemFileError:
         pass
+
+
+# the exit codes each subcommand documents (see tribvp.cli)
+EXIT_CODES = {"solve": {0, 2, 3, 4}, "check": {0, 1, 4}, "degree": {0, 1, 2, 4}}
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(problem_files())
+def test_cli_exits_with_a_documented_code_and_at_most_one_error_line(text):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "case.prob")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for argv in (["solve", path], ["check", path],
+                     ["degree", path, "--rho", "1.2", "--kappa", "0.9"]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in EXIT_CODES[argv[0]]
+            errors = [line for line in err.getvalue().splitlines()
+                      if line.startswith("error:")]
+            assert len(errors) <= 1
