@@ -25,9 +25,10 @@ slab Y_SPAN = 10 wide beyond each threshold (sign condition), over
 [min(0, M1) - 10, max(0, M2) + 10] (envelope) or over [-10, 10] (p2 bound).
 The points are i = 1..N of the R_3 Kronecker sequence
 (shift + i * (g^-1, g^-2, g^-3)) mod 1, g the real root of x^4 = x + 1, mapped
-affinely onto that box; the Cranley-Patterson shift is drawn from the seed,
-the checker's one setting, as numpy's default_rng would draw it but without
-importing numpy.random.
+affinely onto that box.  The Cranley-Patterson shift is the first three
+doubles of random.Random(seed + k), with k = 1..4 per probe and the seed the
+checker's one setting; Python keeps random() fixed for a seed across
+versions, so a seed always probes the same points.
 A probe walks the points in blocks of `operators.BLOCK`, building each block
 one contiguous coordinate at a time (a float `%` over the strided (N, 3)
 layout took two thirds of a probe) and calling f once per block, so that no
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import enum
 import math
+import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -128,51 +130,6 @@ Y_SPAN = 10.0       # width of the slope slab beyond each threshold
 _R3_ALPHA = 1.2207440846057596 ** -np.arange(1.0, 4.0)  # root of x^4 = x + 1
 
 
-def _pcg64_uniforms(seed: int, count: int) -> list[float]:
-    """np.random.default_rng(seed).random(count), bit for bit, for a seed >= 0:
-    numpy's SeedSequence (a pool of 4 uint32 words) seeds PCG64 (O'Neill,
-    XSL-RR 128/64), and a double is its output's top 53 bits times 2^-53.
-    Importing numpy.random (with hashlib, hmac and secrets) for three
-    doubles cost a `check` process 10-13 ms."""
-    m32, m64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
-
-    def hasher(hash_const: int, mult: int) -> Callable[[int], int]:
-        def hashmix(value: int) -> int:
-            nonlocal hash_const
-            value ^= hash_const
-            hash_const = hash_const * mult & m32
-            value = value * hash_const & m32
-            return value ^ value >> 16
-        return hashmix
-
-    def mix(x: int, y: int) -> int:
-        value = 0xca01f9dd * x - 0x4973f715 * y & m32
-        return value ^ value >> 16
-
-    entropy = [seed >> s & m32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = hasher(0x43b0d7e5, 0x931e8875)
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        pool = [mix(p, hashmix(word)) for p in pool]
-    hashmix = hasher(0x8b51f9dd, 0x58f38ded)  # generate_state(4, uint64)
-    words = [hashmix(pool[i % 4]) for i in range(8)]  # low word first
-    w0, w1, w2, w3 = (words[j] | words[j + 1] << 32 for j in range(0, 8, 2))
-    mult, m128 = 0x2360ed051fc65da44385df649fccf645, (1 << 128) - 1
-    inc = ((w2 << 64 | w3) << 1 | 1) & m128
-    state = ((inc + (w0 << 64 | w1)) * mult + inc) & m128
-    out = []
-    for _ in range(count):
-        state = (state * mult + inc) & m128
-        value, rot = (state >> 64 ^ state) & m64, state >> 122
-        value = (value >> rot | value << (-rot & 63)) & m64
-        out.append((value >> 11) * 2.0 ** -53)
-    return out
-
-
 def _quasi_random(shift: Sequence[float], start: int, stop: int) -> list[np.ndarray]:
     """Points start + 1..stop of the R_3 sequence shifted by `shift`, as three
     contiguous coordinate arrays, bit-identical to (shift + i * _R3_ALPHA) % 1.0
@@ -190,7 +147,8 @@ def _probe(spec: ProblemSpec, seed: int, y_lo: float, y_hi: float,
     """The SAMPLES points in order, as blocks (t, x, y, f) of at most BLOCK
     points: block k holds points k BLOCK + 1..(k + 1) BLOCK of the sequence,
     with the shift drawn from seed + seed_shift, and y in [y_lo, y_hi)."""
-    shift = _pcg64_uniforms(integer_at_least("seed", seed, 0) + seed_shift, 3)
+    draw = random.Random(integer_at_least("seed", seed, 0) + seed_shift).random
+    shift = [draw(), draw(), draw()]
     for start in range(0, SAMPLES, BLOCK):
         t, x, y = _quasi_random(shift, start, min(start + BLOCK, SAMPLES))
         t *= spec.grid.T

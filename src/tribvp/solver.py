@@ -596,11 +596,12 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
     are `shoot_ivp`'s.  Then one near sweep on the problem's grid,
     `_shoot_parareal`, shoots k and k -+ NEAR_REACH max(1, |k|), so a root
     within that reach is bracketed however well k was located.  Its root is
-    its first shot that matches exactly, else the zero of the inverse
-    interpolant through its finite mismatches, clamped into their first
-    sign change, else a shot that matches to rounding.  The solution is the
-    `_lagrange` interpolant of the live shots' u and u' at that root:
-    quadratic, linear when one shot died, and a shot itself at its k.
+    a shot that matches exactly at or before its first sign change, else
+    the zero of the inverse interpolant through its finite mismatches,
+    clamped into that sign change, else a shot that matches to rounding.
+    The solution is the `_lagrange` interpolant of the live shots' u and u'
+    at that root: quadratic, linear when one shot died, and a shot itself
+    at its k.
     `residuals.c1` is the matching defect of that interpolant.  The first
     grid on which neither step raises NoRoot gives the solution; the
     problem's grid's NoRoot propagates.
@@ -624,12 +625,10 @@ def solve_shooting(spec: ProblemSpec, opts: SolveOptions = SolveOptions()) -> So
         return end - ks
 
     def interpolate(fn, ks, vals, i):
-        """The near sweep's first exact zero, else the inverse interpolant's
-        zero clamped into its first sign change [ks[i], ks[i + 1]] (ks[i] if
-        NaN, as where two mismatches coincide): evaluates nothing."""
-        zero = np.flatnonzero(vals == 0.0)
-        if zero.size:
-            return float(ks[zero[0]])
+        """The zero of the inverse interpolant through the near sweep's finite
+        mismatches, clamped into their first sign change [ks[i], ks[i + 1]]
+        (ks[i] if NaN, as where two mismatches coincide): evaluates nothing.
+        `_scan_root` returns an exact zero at or before ks[i] itself."""
         live = np.isfinite(vals)
         with np.errstate(all="ignore"):
             x = ks[i] + float(_lagrange(vals[live], 0.0) @ (ks[live] - ks[i]))

@@ -243,7 +243,7 @@ class TestCheck:
         # c(0) = inf: the grid node t = 0 divides by zero
         assert main(["check", write(tmp_path, POLE_ENVELOPE)]) == 1
         captured = capsys.readouterr()
-        assert "envelope: fail - f = -2.71827 dips below c = 110.519" in captured.out
+        assert "envelope: fail - f = -2.49799 dips below c = 114.115" in captured.out
         assert "||c-||_1=0\n" in captured.out
         assert captured.err == ""
 
@@ -337,18 +337,18 @@ solution_bound=0.6123724357
 SIGN_FAIL = ("sign: fail - no strict constant sign on y >= M2 (pointwise condition "
              "violated; the integral form remains undetermined) at (t, x, y) = ")
 GOLDEN = {
-    ("oscillating", "0"): SIGN_FAIL + "(0.125931, 9.86106, 9.89278)\n"
-    "envelope: fail - f = -1.43788 dips below c = -0.5 at (t, x, y) = "
-    "(0.000684248, -4.73856, -8.8115)\n" + OSCILLATING_TAIL,
-    ("oscillating", "1"): SIGN_FAIL + "(0.132381, -8.54691, 8.71923)\n"
-    "envelope: fail - f = -1.1267 dips below c = -0.5 at (t, x, y) = "
-    "(0.219746, -6.08996, -7.149)\n" + OSCILLATING_TAIL,
+    ("oscillating", "0"): SIGN_FAIL + "(0.725405, -9.32263, 2.49459)\n"
+    "envelope: fail - f = -1.52802 dips below c = -0.5 at (t, x, y) = "
+    "(0.514655, -5.43193, 1.51266)\n" + OSCILLATING_TAIL,
+    ("oscillating", "1"): SIGN_FAIL + "(0.938313, 5.06529, 1.91734)\n"
+    "envelope: fail - f = -0.977338 dips below c = -0.5 at (t, x, y) = "
+    "(0.704463, -0.0444694, -8.97897)\n" + OSCILLATING_TAIL,
     ("lying", "0"): "bound: pass - 0.1 < 0.5\nbound_consistency: fail - sampled "
-    "|f| reached 0.547261, above the asserted bound at (t, x, y) = "
-    "(0.997887, -0.0613947, 9.83167)\n" + LYING_TAIL,
+    "|f| reached 0.546896, above the asserted bound at (t, x, y) = "
+    "(0.974464, -0.0354032, 9.97248)\n" + LYING_TAIL,
     ("lying", "1"): "bound: pass - 0.1 < 0.5\nbound_consistency: fail - sampled "
-    "|f| reached 0.547828, above the asserted bound at (t, x, y) = "
-    "(0.980564, -6.29338, 9.97913)\n" + LYING_TAIL,
+    "|f| reached 0.5486, above the asserted bound at (t, x, y) = "
+    "(0.99866, -6.31697, 9.8989)\n" + LYING_TAIL,
 }
 
 
@@ -487,6 +487,41 @@ class TestEntryPoint:
         assert proc.returncode == 4
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+
+class TestDeterminism:
+    """A command line prints the same bytes and exits the same in every
+    process, whatever the string hash seed; the check's seed alone moves
+    its sample."""
+
+    @staticmethod
+    def outputs(runs):
+        """(returncode, stdout, stderr) of each (hash seed, argv), the
+        processes run side by side."""
+        procs = [subprocess.Popen(
+            [sys.executable, "-m", "tribvp", *argv], cwd=ROOT,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                 "PYTHONHASHSEED": hash_seed}) for hash_seed, argv in runs]
+        outs = [proc.communicate(timeout=120) for proc in procs]
+        return [(proc.returncode, *out) for proc, out in zip(procs, outs)]
+
+    def test_hash_seed_changes_nothing_and_the_check_seed_moves_the_sample(
+            self, tmp_path):
+        oscillating = write(tmp_path, OSCILLATING)
+        commands = [["check", oscillating, "--seed", "3"],
+                    ["solve", STEEP, "--backend", "both"],
+                    ["degree", STEEP, "--rho", "1.2", "--kappa", "0.9"]]
+        runs = [(h, argv) for argv in commands for h in ("0", "1")]
+        got = self.outputs([*runs, ("0", ["check", oscillating, "--seed", "4"])])
+        for argv, first, second in zip(commands, got[0:6:2], got[1:6:2]):
+            assert first == second, argv
+        (code3, seed3, _), (code4, seed4, _) = got[0], got[-1]
+        assert code3 == code4 == 1
+        points = [[line.split(b" at (t, x, y) = ")[1] for line in out.splitlines()
+                   if b" at (t, x, y) = " in line] for out in (seed3, seed4)]
+        assert len(points[0]) == len(points[1]) == 2
+        assert all(a != b for a, b in zip(*points))
 
 
 class TestCollectorFreeze:

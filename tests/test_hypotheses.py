@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ from tribvp import (BoundaryCondition, Grid, HypothesisData, HypothesisFailed,
                     InvalidThresholds, ProblemSpec, RightHandSide, Verdict,
                     check_problem, curvature, load_problem, scaled_atan)
 from tribvp.degree import degree_for_problem
-from tribvp.hypotheses import (_R3_ALPHA, _pcg64_uniforms, _probe, _quasi_random,
+from tribvp.hypotheses import (_R3_ALPHA, _probe, _quasi_random,
                                check_bound_p2, check_sign_condition, compute_bounds_p1)
 from tribvp.operators import BLOCK
 
@@ -59,6 +60,12 @@ def blocks(samples):
     return [BLOCK] * (samples // BLOCK) + [samples % BLOCK] * (samples % BLOCK > 0)
 
 
+def shift_of(seed):
+    """The first three doubles of random.Random(seed)."""
+    draw = random.Random(seed).random
+    return np.array([draw(), draw(), draw()])
+
+
 def probed(spec, seed, y_lo, y_hi, seed_shift):
     """A probe's blocks (t, x, y, f), concatenated."""
     return [np.concatenate(cols) for cols in zip(*_probe(spec, seed, y_lo, y_hi, seed_shift))]
@@ -66,7 +73,7 @@ def probed(spec, seed, y_lo, y_hi, seed_shift):
 
 def reference_probe(spec, seed, y_lo, y_hi, seed_shift):
     """The probe's points and f from the whole (N, 3) point array at once."""
-    shift = np.random.default_rng(seed + seed_shift).random(3)
+    shift = shift_of(seed + seed_shift)
     i = np.arange(1, tribvp.hypotheses.SAMPLES + 1, dtype=float)[:, None]
     pts = (shift + i * _R3_ALPHA) % 1.0
     t = pts[:, 0] * spec.grid.T
@@ -106,7 +113,7 @@ class TestSampler:
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_identical_to_the_remainder_of_the_point_array(self, seed, count):
         # block by block: points start + 1..stop of the sequence each time
-        shift = np.random.default_rng(seed).random(3)
+        shift = shift_of(seed)
         i = np.arange(1, count + 1, dtype=float)[:, None]
         reference = (shift + i * _R3_ALPHA) % 1.0
         for start in range(0, count, BLOCK):
@@ -124,7 +131,7 @@ class TestSampler:
                            BoundaryCondition.P1)
         seed, samples = 5, 1000
         box(samples, x_halfwidth=3.3)
-        shift = np.random.default_rng(seed + 2).random(3)
+        shift = shift_of(seed + 2)
         i = np.arange(1, samples + 1, dtype=float)[:, None]
         pts = (shift + i * _R3_ALPHA) % 1.0
         t = pts[:, 0] * 0.37
@@ -134,23 +141,22 @@ class TestSampler:
         for a, b in zip(got, (t, x, y, t * x - y)):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("seed_shift", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**200 + 12345],
+                             ids=["0", "2^32-1", "2^32", "2^200+12345"])
+    def test_shift_is_the_first_three_draws_of_random_Random(
+            self, monkeypatch, box, seed, seed_shift):
+        shifts = []
 
-    # numpy.random is imported here only: the probe draws its shift without it
-    @pytest.mark.parametrize("seeds", [
-        range(2001),
-        [2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3],
-        [2**200 + 12345, 3**200],  # more entropy words than the pool's 4
-    ], ids=["0-2000", "word-edges", "long-entropy"])
-    def test_shift_is_numpys_pcg64_stream(self, seeds):
-        for seed in seeds:
-            want = np.random.default_rng(seed).random(3)
-            got = np.array(_pcg64_uniforms(seed, 3))
-            assert got.tobytes() == want.tobytes(), seed
-
-    def test_pcg64_stream_continues_past_three_draws(self):
-        for seed in (0, 5, 2**40, 2**200 + 12345):
-            want = np.random.default_rng(seed).random(1000)
-            assert np.array(_pcg64_uniforms(seed, 1000)).tobytes() == want.tobytes()
+        def spy(shift, start, stop):
+            shifts.append(tuple(shift))
+            return _quasi_random(shift, start, stop)
+        monkeypatch.setattr(tribvp.hypotheses, "_quasi_random", spy)
+        box(2 * BLOCK + 1)
+        for _ in _probe(steep_spec(), seed, 0.0, 1.0, seed_shift):
+            pass
+        draw = random.Random(seed + seed_shift).random
+        assert shifts == [(draw(), draw(), draw())] * 3
 
 
 class TestSeed:
@@ -228,7 +234,7 @@ def spikes(base, at):
 
 def probe_t(seed, seed_shift):
     """t of a probe's points in order, for T = 1."""
-    shift = np.random.default_rng(seed + seed_shift).random(3)
+    shift = shift_of(seed + seed_shift)
     return _quasi_random(shift, 0, tribvp.hypotheses.SAMPLES)[0]
 
 

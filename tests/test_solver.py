@@ -723,6 +723,23 @@ class TestShooting:
             assert np.abs(got - (x[0] + w * (x[1] - x[0]))).max() <= 1e-15
         assert rep.residuals.c1 <= SolveOptions().tol
 
+    def test_an_exact_zero_past_the_first_sign_change_is_not_the_root(
+            self, monkeypatch):
+        # the near sweep's mismatches are (-m, +m, 0): the root lies in the
+        # straddling pair [ks[0], ks[1]], not at the third shot
+        near = []
+
+        def straddling(on, ks, *args, **kwargs):
+            us, vs = _shoot_parareal(on, ks, *args, **kwargs)
+            us[:, -1] = ks  # p2 shoots backward from u(T) = k ...
+            us[:, 0] = ks + np.array([-1e-3, 1e-3, 0.0])  # ... to match u(0) = k
+            near.append(ks)
+            return us, vs
+        monkeypatch.setattr(tribvp.solver, "_shoot_parareal", straddling)
+        rep = solve_shooting(cosine())
+        (ks,) = near
+        assert ks[0] <= rep.solution.values[-1] <= ks[1]
+
     @pytest.mark.parametrize("bc", [BoundaryCondition.P1, BoundaryCondition.P1T],
                              ids=["p1", "p1t"])
     def test_flat_family_keeps_an_exact_zero_root(self, bc):
