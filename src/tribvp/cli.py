@@ -9,14 +9,16 @@ failures among them come from one table per subcommand, `EXIT_CODES`:
         boundary or a non-finite f (degree)
     3   hypothesis hard-failure under --require-hypotheses, or seeding failure
     4   unreadable input: bad command line, file, expression, option or
-        domain errors, M1 >= M2; an --out file solve cannot write; or a grid
-        or sample count too large to allocate (a MemoryError)
+        domain errors, M1 >= M2; an --out file solve cannot write; a grid
+        or sample count too large to allocate (a MemoryError); or, from a
+        `tribvp` process, a stdout closed before its output was written
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from dataclasses import replace
 
@@ -28,7 +30,7 @@ from .errors import (BvpError, EmptyDomain, HypothesisFailed,
 from .hypotheses import check_problem
 from .operators import nemytskii
 from .problem_file import load_problem
-from .solver import solve
+from .solver import BACKENDS, solve
 
 __all__ = ["main", "entry"]
 
@@ -51,14 +53,23 @@ def entry() -> None:
     # collections during the command nor those at exit walk them.  Only here,
     # so that in-process callers of main() keep their collector as it was.
     gc.freeze()
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # stdout's reader is gone; pointed at devnull, the flush at exit
+        # cannot fail on what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        code = 4
+    sys.exit(code)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, load_problem(args.file))
     except BvpError as exc:
         table = EXIT_CODES[args.command]
         code = next(table[cls] for cls in type(exc).__mro__ if cls in table)
@@ -103,8 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--out", default=None, help="write the CSV here "
                          "instead of stdout")
-    p_solve.add_argument("--backend", default=None,
-                         choices=["fixed-point", "shooting", "both"])
+    p_solve.add_argument("--backend", default=None, choices=BACKENDS)
     p_solve.add_argument("--require-hypotheses", action="store_true",
                          help="refuse to solve unless the hypothesis report "
                               "has no failing condition")
@@ -131,8 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # -------------------------------------------------------------------- solve
 
-def _run_solve(args) -> int:
-    doc = load_problem(args.file)
+def _run_solve(args, doc) -> int:
     opts = doc.options
     if args.backend is not None:
         opts = replace(opts, backend=args.backend)
@@ -186,8 +195,7 @@ def _csv_table(spec, u) -> str:
 
 # -------------------------------------------------------------------- check
 
-def _run_check(args) -> int:
-    doc = load_problem(args.file)
+def _run_check(args, doc) -> int:
     report = check_problem(doc.spec, doc.hypothesis_data, args.seed)
     for name, verdict in report.verdicts.items():
         line = f"{name}: {verdict.status.value} - {verdict.detail}"
@@ -211,8 +219,7 @@ def _run_check(args) -> int:
 
 # ------------------------------------------------------------------- degree
 
-def _run_degree(args) -> int:
-    doc = load_problem(args.file)
+def _run_degree(args, doc) -> int:
     result = degree_for_problem(doc.spec, rho=args.rho, kappa=args.kappa,
                                 m=args.samples)
     print(f"degree={result.degree} "

@@ -122,6 +122,12 @@ def _level(level: int, offset: int) -> int:
 
 
 def parse(src: str) -> Node:
+    return _parse(src, VARIABLES)
+
+
+def _parse(src: str, variables: tuple) -> Node:
+    """parse, with a name of VARIABLES that is not in `variables` refused at
+    its offset."""
     tokens = _tokenize(src)
     at = 0  # index of the current token
 
@@ -164,8 +170,12 @@ def parse(src: str) -> Node:
         if kind == "name":
             opened = take("(")
             if not opened:
-                if text in VARIABLES:
+                if text in variables:
                     return Var(text), depth
+                if text in VARIABLES:
+                    raise ExpressionSyntaxError(
+                        f"variable {text!r} not allowed here "
+                        f"(allowed: {', '.join(variables)})", position=offset)
                 if text in CONSTANTS:
                     return Num(CONSTANTS[text]), depth
                 raise UnknownIdentifier(

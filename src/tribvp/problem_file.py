@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import configparser
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ExpressionSyntaxError, ProblemFileError
-from .expressions import (Binary, Call, Node, Num, Unary, Var, as_callable,
-                          parse)
+from .expressions import VARIABLES, _parse, as_callable
 from .grid import Grid
 from .homeomorphisms import by_name
 from .hypotheses import HypothesisData
@@ -44,9 +43,31 @@ from .solver import SolveOptions
 
 __all__ = ["ProblemDocument", "load_problem", "loads"]
 
+
+def _float(section: str, key: str, text: str) -> float:
+    try:
+        value = float(text.strip())
+    except ValueError as exc:
+        raise ProblemFileError(
+            f"[{section}] {key}: not a number: {text.strip()!r}") from exc
+    if not math.isfinite(value):
+        raise ProblemFileError(f"[{section}] {key}: must be finite")
+    return value
+
+
+def _int(section: str, key: str, text: str) -> int:
+    try:
+        return int(text.strip())
+    except ValueError as exc:
+        raise ProblemFileError(
+            f"[{section}] {key}: not an integer: {text.strip()!r}") from exc
+
+
 _PROBLEM_KEYS = {"T", "n", "phi", "a", "f", "bc"}
 _HYPOTHESES_KEYS = {"M1", "M2", "c_lower", "c_bound", "kappa", "rho"}
-_SOLVER_KEYS = {"tol", "max_iters", "backend"}
+# each [solver] key with its reader, whose value goes to SolveOptions as is
+_SOLVER_KEYS = {"tol": _float, "max_iters": _int,
+                "backend": lambda _section, _key, text: text.strip()}
 _SECTIONS = {"problem": _PROBLEM_KEYS, "hypotheses": _HYPOTHESES_KEYS,
              "solver": _SOLVER_KEYS}
 
@@ -109,7 +130,7 @@ def loads(text: str, source_path: str | None = None) -> ProblemDocument:
         grid = Grid(T, n)
     except ValueError as exc:
         raise ProblemFileError(f"[problem] {exc}") from exc
-    f_tree = _expression("problem", "f", f_source, allowed=("t", "u", "v"))
+    f_fn = _expression("problem", "f", f_source, allowed=VARIABLES)
 
     hyp = cp["hypotheses"] if cp.has_section("hypotheses") else {}
     m1 = _opt_float(hyp, "hypotheses", "M1")
@@ -126,20 +147,18 @@ def loads(text: str, source_path: str | None = None) -> ProblemDocument:
     rho = _opt_float(hyp, "hypotheses", "rho")
     c_lower = None
     if "c_lower" in hyp:
-        c_tree = _expression("hypotheses", "c_lower", hyp["c_lower"],
+        c_full = _expression("hypotheses", "c_lower", hyp["c_lower"],
                              allowed=("t",))
-        c_full = as_callable(c_tree)
         c_lower = lambda t, _fn=c_full: _fn(t, 0.0, 0.0)
 
     sol = cp["solver"] if cp.has_section("solver") else {}
-    read = {"tol": _float, "max_iters": _int, "backend": lambda _s, _k, text: text.strip()}
     try:
-        options = SolveOptions(**{key: read[key]("solver", key, sol[key]) for key in sol})
+        options = SolveOptions(**{key: _SOLVER_KEYS[key]("solver", key, sol[key])
+                                  for key in sol})
     except ValueError as exc:
         raise ProblemFileError(f"[solver] {exc}") from exc
 
-    spec = ProblemSpec(grid=grid, phi=phi,
-                       rhs=RightHandSide(fn=as_callable(f_tree)), bc=bc)
+    spec = ProblemSpec(grid=grid, phi=phi, rhs=RightHandSide(fn=f_fn), bc=bc)
     data = HypothesisData(m1=m1, m2=m2, c_lower=c_lower, c_bound=c_bound,
                           kappa=kappa, rho=rho)
     return ProblemDocument(spec=spec, options=options, hypothesis_data=data,
@@ -152,52 +171,15 @@ def _require(section, name: str, key: str) -> str:
     return section[key]
 
 
-def _float(section: str, key: str, text: str) -> float:
-    try:
-        value = float(text.strip())
-    except ValueError as exc:
-        raise ProblemFileError(
-            f"[{section}] {key}: not a number: {text.strip()!r}") from exc
-    if not math.isfinite(value):
-        raise ProblemFileError(f"[{section}] {key}: must be finite")
-    return value
-
-
-def _int(section: str, key: str, text: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError as exc:
-        raise ProblemFileError(
-            f"[{section}] {key}: not an integer: {text.strip()!r}") from exc
-
-
 def _opt_float(section, name: str, key: str) -> float | None:
     if key not in section:
         return None
     return _float(name, key, section[key])
 
 
-def _expression(section: str, key: str, text: str, allowed: tuple) -> Node:
+def _expression(section: str, key: str, text: str, allowed: tuple) -> Callable:
+    """The compiled expression, parsed with the variables `allowed`."""
     try:
-        tree = parse(text)
+        return as_callable(_parse(text, allowed))
     except ExpressionSyntaxError as exc:
         raise ProblemFileError(f"[{section}] {key}: {exc}") from exc
-    used = _variables_used(tree)
-    extra = used - set(allowed)
-    if extra:
-        raise ProblemFileError(
-            f"[{section}] {key}: variable(s) {sorted(extra)} not allowed here "
-            f"(allowed: {', '.join(allowed)})")
-    return tree
-
-
-def _variables_used(node: Node) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Unary):
-        return _variables_used(node.operand)
-    if isinstance(node, Binary):
-        return _variables_used(node.left) | _variables_used(node.right)
-    if isinstance(node, Call):
-        return _variables_used(node.arg)
-    return set()

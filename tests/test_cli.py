@@ -277,8 +277,8 @@ class TestCheck:
                                "bc = p1\n[hypotheses]\nc_lower = -3 + u\n")
         assert main(["check", path]) == 4
         captured = capsys.readouterr()
-        assert captured.err == ("error: [hypotheses] c_lower: variable(s) "
-                                "['u'] not allowed here (allowed: t)\n")
+        assert captured.err == ("error: [hypotheses] c_lower: variable 'u' "
+                                "not allowed here (allowed: t) (offset 5)\n")
         assert captured.out == ""
 
     def test_seed_changes_nothing_essential(self, capsys):
@@ -487,6 +487,27 @@ class TestEntryPoint:
         assert proc.returncode == 4
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_closed_stdout_exits_4_without_a_traceback(self, command, unbuffered):
+        # the pipe's read end is closed before the child starts, so its
+        # first write to stdout, or the flush of what it buffered, fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        try:
+            proc = subprocess.run([sys.executable, "-W", "error", "-m", "tribvp",
+                                   command, STEEP], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, cwd=ROOT,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 4
+        assert proc.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 class TestDeterminism:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from tribvp import BoundaryCondition, ProblemFileError, SolveOptions, loads
+from tribvp.errors import ExpressionSyntaxError
+from tribvp.expressions import Binary, Var, parse
 from tribvp.problem_file import load_problem
 
 FULL = """
@@ -102,6 +104,30 @@ def test_c_lower_must_be_time_only():
         loads(text)
     assert "c_lower" in str(info.value)
     assert "'u'" in str(info.value)
+
+
+@pytest.mark.parametrize("c_lower,name,offset", [
+    ("-3 + u", "u", 5),
+    ("-1 - v*u", "v", 5),  # the first disallowed name
+    ("-1 - sin(u)", "u", 9),  # inside a function argument
+], ids=["u", "first-of-two", "in-argument"])
+def test_c_lower_names_the_disallowed_variable_at_its_offset(c_lower, name, offset):
+    text = f"[problem]\nT = 1\nf = 0\nbc = p1\n[hypotheses]\nc_lower = {c_lower}\n"
+    with pytest.raises(ProblemFileError) as info:
+        loads(text)
+    assert str(info.value) == (f"[hypotheses] c_lower: variable {name!r} not "
+                               f"allowed here (allowed: t) (offset {offset})")
+    assert isinstance(info.value.__cause__, ExpressionSyntaxError)
+    assert info.value.__cause__.position == offset
+
+
+def test_f_may_use_t_u_and_v():
+    doc = loads("[problem]\nT = 1\nf = t + 2*u + 4*v\nbc = p1\n")
+    assert doc.spec.rhs.fn(1.0, 10.0, 100.0) == pytest.approx(421.0)
+
+
+def test_parse_accepts_every_variable():
+    assert parse("t*u - v") == Binary("-", Binary("*", Var("t"), Var("u")), Var("v"))
 
 
 def test_c_lower_may_depend_on_time():
